@@ -8,11 +8,14 @@ filtered by whether they map all of S into S (vectorized over numpy), and
 the few survivors are confirmed by projective comparison of the
 conjugated coefficient vector.
 
-Confirmed numeric elements can then be certified: entries are lifted into
-a cyclotomic field by bounded-denominator recognition and the commutation
-identity is re-verified in exact arithmetic.  A failed lift leaves the
+Confirmed numeric elements can then be certified.  Every float-to-exact
+step here (matrix entries, fixed points, square roots, roots of unity)
+goes through the one routine ``cyclotomic.lift``: bounded-denominator
+recognition proposes candidates field by field, and a lifted value is only
+a guess until an exact check accepts it (for a matrix, the commutation
+identity re-verified in exact arithmetic).  A failed lift leaves the
 element numeric and the report uncertified; it never produces a wrong
-exact claim, since acceptance always rests on the exact re-verification.
+exact claim.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycloNum, common_order
+from .cyclotomic import CycloNum, common_order, fold_power_relations, lift
 from .errors import (
     NotAGroupError,
     NotAnAutomorphismError,
@@ -32,7 +34,7 @@ from .errors import (
     OrderMismatchError,
     SearchBoundExceededError,
 )
-from .moebius import ExtendedMoebius, proj_distance
+from .moebius import ExtendedMoebius, _three_point_rows, proj_distance
 from .polyring import Poly
 from .ratmap import RationalMap
 from .sphere import INF, conj_point, homog, is_inf
@@ -153,7 +155,7 @@ def _search_orientation(phi: RationalMap, antiholo: bool, opts: SearchOptions):
     src_points = [conj_point(lp.point) for lp in sources] if antiholo else [
         lp.point for lp in sources
     ]
-    gs = _rows_to_01inf(src_points)
+    gs = _three_point_rows(src_points)
 
     # ordered target triples compatible with the source labels
     sets = [np.array(classes[lp.label], dtype=int) for lp in sources]
@@ -217,18 +219,6 @@ def _search_orientation(phi: RationalMap, antiholo: bool, opts: SearchOptions):
             if not any(proj_distance(g, h) <= opts.dedup_tol for h in found):
                 found.append(g)
     return found
-
-
-def _rows_to_01inf(points):
-    pairs = [(1.0 + 0j, 0j) if is_inf(pt) else (complex(pt), 1.0 + 0j) for pt in points]
-
-    def cross(u, v):
-        return u[0] * v[1] - v[0] * u[1]
-
-    p, q, r = pairs
-    qr = cross(q, r)
-    qp = cross(q, p)
-    return ((qr * p[1], -qr * p[0]), (qp * r[1], -qp * r[0]))
 
 
 def holomorphic_automorphisms(
@@ -304,102 +294,6 @@ def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
 # -- exact lifting ------------------------------------------------------------
 
 
-def recognize_cyclo_candidates(
-    value: complex, order: int, denom_bound: int = 10**6, tol: float = 1e-7
-) -> list[CycloNum]:
-    """Candidate lifts of a float into Q(zeta_order), most structured first:
-    0, a rational, q * zeta^j, then a Gaussian rational.
-
-    These are embedding-close guesses only; callers must validate them
-    against an exact identity (squaring, commutation, ...)."""
-    out: list[CycloNum] = []
-    scale = max(1.0, abs(value))
-    if abs(value) <= tol:
-        return [CycloNum.zero(order)]
-    if abs(value.imag) <= tol * scale:
-        q = Fraction(value.real).limit_denominator(denom_bound)
-        if abs(value - complex(q)) <= tol * scale:
-            out.append(CycloNum.from_rational(q, order))
-    for j in range(1, order):
-        w = value * complex(
-            math.cos(2 * math.pi * j / order), -math.sin(2 * math.pi * j / order)
-        )
-        if abs(w.imag) <= tol * scale:
-            q = Fraction(w.real).limit_denominator(denom_bound)
-            if q != 0 and abs(w - complex(q)) <= tol * scale:
-                out.append(CycloNum.zeta(order, j) * CycloNum.from_rational(q, order))
-    if order % 4 == 0 and abs(value.imag) > tol * scale:
-        qr = Fraction(value.real).limit_denominator(denom_bound)
-        qi = Fraction(value.imag).limit_denominator(denom_bound)
-        if abs(value - complex(float(qr), float(qi))) <= tol * scale:
-            out.append(CycloNum.gaussian(qr, qi).rebase(order))
-    return out
-
-
-def recognize_cyclo(
-    value: complex, order: int, denom_bound: int = 10**6, tol: float = 1e-7
-) -> CycloNum | None:
-    """Best-ranked candidate lift, or None; see recognize_cyclo_candidates."""
-    cands = recognize_cyclo_candidates(value, order, denom_bound, tol)
-    return cands[0] if cands else None
-
-
-def _lift_field_candidates(phi: RationalMap, g: ExtendedMoebius, bound: int) -> list[int]:
-    base = common_order(phi.field_order, 4)
-    k = g.order(bound=bound, tol=1e-6)
-    cands = [base]
-    if k:
-        cands += [common_order(base, k), common_order(base, 2 * k)]
-    else:
-        cands += [common_order(base, 8), common_order(base, 12), common_order(base, 24)]
-    out = []
-    for m in sorted(set(cands)):
-        if m not in out and len(out) < 6:
-            out.append(m)
-    return out
-
-
-def lift_matrix_candidates(
-    phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions | None = None
-):
-    """Yield exact-entry candidates for a numeric element, one per candidate
-    field whose bounded-denominator recognition covers all four entries.
-
-    Candidates are only embedding-close guesses; callers must accept them
-    through verify_automorphism_exact (a wrong guess fails there)."""
-    if g.exact:
-        yield g
-        return
-    opts = opts or SearchOptions()
-    entries = [g.a, g.b, g.c, g.d]
-    top = max(abs(e) for e in entries)
-    pivot = next(e for e in entries if abs(e) > 0.5 * top)
-    entries = [e / pivot for e in entries]
-    bound = 2 * (phi.degree + 1)
-    for m in _lift_field_candidates(phi, g, bound):
-        per_entry = [recognize_cyclo_candidates(e, m, opts.denom_bound) for e in entries]
-        if any(not options for options in per_entry):
-            continue
-        combos = [[]]
-        for options in per_entry:
-            combos = [prefix + [v] for prefix in combos for v in options]
-            if len(combos) > 16:
-                combos = combos[:16]
-        for lifted in combos:
-            ok = all(
-                abs(v.to_complex() - e) <= 1e-6 * max(1.0, abs(e))
-                for v, e in zip(lifted, entries)
-            )
-            if not ok:
-                continue
-            try:
-                yield ExtendedMoebius(*lifted, antiholo=g.antiholo)
-            except ValueError:
-                continue
-    if not g.antiholo and not g.is_identity(1e-9):
-        yield from _lift_holo_via_fixed_points(phi, g, opts)
-
-
 def _numeric_fixed_points(g: ExtendedMoebius):
     a, b, c, d = g.a, g.b, g.c, g.d
     if abs(c) < 1e-13:
@@ -413,9 +307,11 @@ def _numeric_fixed_points(g: ExtendedMoebius):
     return ((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)
 
 
-def _lift_holo_via_fixed_points(phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions):
-    """Candidates for an elliptic holomorphic element, rebuilt from its
-    fixed-point pair and rotation multiplier.
+def _lift_holo_via_fixed_points(
+    phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions
+) -> ExtendedMoebius | None:
+    """An elliptic holomorphic element rebuilt from its fixed-point pair and
+    rotation multiplier, verified to commute with phi, or None.
 
     A finite-order element is conjugate to z -> zeta z; its matrix entries
     may be arbitrary field elements, but the fixed points are often simple
@@ -423,52 +319,78 @@ def _lift_holo_via_fixed_points(phi: RationalMap, g: ExtendedMoebius, opts: Sear
     is exactly a root of unity, so lifting those suffices."""
     k = g.order(2 * (phi.degree + 1), tol=1e-6)
     if k is None or k < 2:
-        return
+        return None
     p_num, q_num = _numeric_fixed_points(g)
     if q_num is INF and p_num is INF:
-        return
+        return None
     # multiplier at the first fixed point: (ad - bc) / (c z0 + d)^2
     det = g.a * g.d - g.b * g.c
     if p_num is INF:
         p_num, q_num = q_num, p_num
     mu = det / (g.c * p_num + g.d) ** 2
     if abs(abs(mu) - 1.0) > 1e-6:
-        return
+        return None
     j = round(k * (cmath.phase(mu) / (2 * math.pi))) % k
     if abs(mu - cmath.exp(2 * math.pi * 1j * j / k)) > 1e-6:
-        return
-    base = common_order(phi.field_order, 4)
-    for m in (base, common_order(base, k)):
-        p_opts = recognize_cyclo_candidates(p_num, m, opts.denom_bound)
-        q_opts = (
-            [INF] if q_num is INF else recognize_cyclo_candidates(q_num, m, opts.denom_bound)
-        )
-        rot_order = common_order(m, k)
+        return None
+
+    def fixed_pair(lifted):
+        return (lifted, INF) if q_num is INF else lifted
+
+    def rebuild(p, q) -> ExtendedMoebius:
+        rot_order = common_order(p.order, k)
         rot = ExtendedMoebius.rotation(rot_order, j * (rot_order // k))
-        for p_exact in p_opts:
-            for q_exact in q_opts:
-                if q_exact is not INF and p_exact == q_exact:
-                    continue
-                conj = _conjugator_to_zero_inf(p_exact, q_exact)
-                cand = conj.inverse().compose(rot).compose(conj)
-                if proj_distance(cand.to_numeric(), g) <= 1e-6:
-                    yield cand
+        conj = _conjugator_to_zero_inf(p, q)
+        return conj.inverse().compose(rot).compose(conj)
 
+    def commutes(lifted) -> bool:
+        p, q = fixed_pair(lifted)
+        if q is not INF and p == q:
+            return False
+        cand = rebuild(p, q)
+        return proj_distance(cand.to_numeric(), g) <= 1e-6 and verify_automorphism_exact(
+            phi, cand
+        )
 
-def lift_matrix_exact(
-    phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions | None = None
-) -> ExtendedMoebius | None:
-    """First lift candidate, unverified; prefer certify_element."""
-    return next(lift_matrix_candidates(phi, g, opts), None)
+    base = common_order(phi.field_order, 4)
+    values = p_num if q_num is INF else (p_num, q_num)
+    lifted = lift(values, (base, common_order(base, k)), commutes, opts.denom_bound)
+    return None if lifted is None else rebuild(*fixed_pair(lifted))
 
 
 def certify_element(
     phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions | None = None
 ) -> ExtendedMoebius | None:
-    """Exact element verified to commute with phi, or None."""
-    for lifted in lift_matrix_candidates(phi, g, opts):
-        if verify_automorphism_exact(phi, lifted):
-            return lifted
+    """Exact element verified to commute with phi, or None.
+
+    The four entries, scaled by a large one, are lifted jointly and the
+    exact commutation check decides; an elliptic holomorphic element that
+    resists this in every field is rebuilt from its fixed points."""
+    if g.exact:
+        return g if verify_automorphism_exact(phi, g) else None
+    opts = opts or SearchOptions()
+    entries = [g.a, g.b, g.c, g.d]
+    top = max(abs(e) for e in entries)
+    pivot = next(e for e in entries if abs(e) > 0.5 * top)
+
+    def commutes(lifted) -> bool:
+        try:
+            cand = ExtendedMoebius(*lifted, antiholo=g.antiholo)
+        except ValueError:
+            return False
+        return verify_automorphism_exact(phi, cand)
+
+    # the map's field with i adjoined, then its extensions by the roots of
+    # unity of orders k and 2k (k the order of g), or 8, 12 and 24
+    base = common_order(phi.field_order, 4)
+    k = g.order(bound=2 * (phi.degree + 1), tol=1e-6)
+    extra = (k, 2 * k) if k else (8, 12, 24)
+    fields = sorted({base, *(common_order(base, e) for e in extra)})
+    lifted = lift(tuple(e / pivot for e in entries), fields, commutes, opts.denom_bound)
+    if lifted is not None:
+        return ExtendedMoebius(*lifted, antiholo=g.antiholo)
+    if not g.antiholo and not g.is_identity(1e-9):
+        return _lift_holo_via_fixed_points(phi, g, opts)
     return None
 
 
@@ -554,16 +476,13 @@ class CanonicalCyclicForm:
         return RationalMap.reduce(num, den)
 
 
-def _exact_sqrt(value: CycloNum, denom_bound: int = 10**6) -> CycloNum | None:
-    """A y with y*y == value, found by lifting the numeric square root."""
-    target = value.to_complex()
-    root = target ** 0.5
-    for m in sorted({common_order(value.order, 4), common_order(value.order, 8)}):
-        for num in (root, -root):
-            for y in recognize_cyclo_candidates(num, m, denom_bound):
-                if (y * y) == value.rebase(common_order(m, value.order)):
-                    return y
-    return None
+def _exact_sqrt(value: CycloNum) -> CycloNum | None:
+    """A y with y*y == value, found by lifting the numeric square root.
+
+    One sign suffices: in these even-order fields the candidates for -root
+    are the negatives of those for root, and y passes exactly when -y does."""
+    fields = sorted({common_order(value.order, 4), common_order(value.order, 8)})
+    return lift(value.to_complex() ** 0.5, fields, lambda y: y * y == value)
 
 
 def _fixed_points_exact(t: ExtendedMoebius):
@@ -578,25 +497,17 @@ def _fixed_points_exact(t: ExtendedMoebius):
     if disc.is_zero():
         raise OrderMismatchError("parabolic element has a single fixed point")
     # lift the numeric roots of c z^2 + (d - a) z - b and verify exactly
-    num = t.to_numeric()
-    r1, r2 = _numeric_fixed_points(num)
     base = common_order(a.order, 4)
-    roots = []
-    for r_num in (r1, r2):
-        found = None
-        for m in (base, common_order(base, 8), common_order(base, 12)):
-            for cand in recognize_cyclo_candidates(r_num, m):
-                cr = cand.rebase(common_order(cand.order, a.order))
-                if (c * cr * cr + (d - a) * cr - b).is_zero():
-                    found = cr
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots.append(found)
-    if len(roots) == 2 and roots[0] != roots[1]:
-        return (roots[0], roots[1])
+    fields = (base, common_order(base, 8), common_order(base, 12))
+
+    def is_fixed(z: CycloNum) -> bool:
+        return (c * z * z + (d - a) * z - b).is_zero()
+
+    r1, r2 = _numeric_fixed_points(t.to_numeric())
+    p = lift(r1, fields, is_fixed)
+    q = None if p is None else lift(r2, fields, is_fixed)
+    if q is not None and p != q:
+        return (p, q)
     # fallback: an exact square root of the discriminant
     s = _exact_sqrt(disc)
     if s is None:
@@ -756,57 +667,29 @@ def _solve_argument_scale(psi_a: RationalMap, psi_b: RationalMap):
     k0 = support[0]
     e0 = exponent[0]
     w0 = vb[k0] / va[k0]
-    relations = []
-    for k, e in zip(support[1:], exponent[1:]):
-        relations.append((e - e0, (vb[k] / va[k]) / w0))  # t^(e0-e) = ratio
+    # t^(e0 - e) = (vb[k] / va[k]) / w0, i.e. t^(e - e0) = w0 / (vb[k] / va[k])
+    relations = [(e - e0, w0 / (vb[k] / va[k])) for k, e in zip(support[1:], exponent[1:])]
     if not relations:
         return CycloNum.one(m) if psi_a.equals_projective(psi_b) else None
-    # accumulate t^g = val with g = gcd of exponents, via Bezout
-    g, val = relations[0][0], relations[0][1].inv()
-    if g < 0:
-        g, val = -g, val.inv()
-    for delta, ratio in relations[1:]:
-        # currently t^g = val, want to fold in t^delta = ratio^-1
-        new_g = math.gcd(g, delta)
-        if new_g == 0:
-            continue
-        x, y = _bezout(g, delta, new_g)
-        val = (val ** x) * (ratio.inv() ** y)
-        g = new_g
-    if g == 0:
-        # every exponent difference vanished: any nonzero t works iff the
-        # ratios are all trivial
-        one = CycloNum.one(m)
-        if all(ratio.is_one() for _, ratio in relations):
-            return one
+    folded = fold_power_relations(relations)
+    if folded is None:
         return None
-    for delta, ratio in relations:
-        if (val ** (delta // g)) != ratio.inv():
-            return None
+    g, val = folded
+    if g == 0:
+        return CycloNum.one(m)
     if g == 1:
         return val
-    # need an exact g-th root of val
+    # an exact g-th root of val; fields with zeta_8 come first, then by size,
+    # since the field that accepts t decides how it prints
+    fields = sorted(
+        {common_order(m, 4), common_order(m, 4 * g)}, key=lambda f: (f % 8 != 0, f)
+    )
     base = val.to_complex() ** (1.0 / g)
     for ell in range(g):
         cand_num = base * complex(
             math.cos(2 * math.pi * ell / g), math.sin(2 * math.pi * ell / g)
         )
-        for order in {common_order(m, 4), common_order(m, 4 * g)}:
-            cand = recognize_cyclo(cand_num, order)
-            if cand is not None and (cand ** g) == val:
-                return cand
+        t = lift(cand_num, fields, lambda cand: cand ** g == val)
+        if t is not None:
+            return t
     return None
-
-
-def _bezout(a: int, b: int, g: int):
-    """x, y with a x + b y = g (g = gcd(a, b))."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    assert old_r == g
-    return old_s, old_t

@@ -29,9 +29,8 @@ from .autgrp import (
     SearchOptions,
     aut_group_report,
     canonicalize_cyclic,
-    recognize_cyclo_candidates,
 )
-from .cyclotomic import CycloNum, common_order
+from .cyclotomic import CycloNum, common_order, fold_power_relations, lift
 from .errors import (
     BadDegreeError,
     ConsistencyViolationError,
@@ -39,7 +38,7 @@ from .errors import (
     NotCanonicalError,
 )
 from .moebius import ExtendedMoebius
-from .polyring import Poly, roots_numeric
+from .polyring import Poly, poly_gcd, roots_numeric
 from .ratmap import RationalMap
 
 REAL = "real"
@@ -48,6 +47,17 @@ NO_ANTIHOLOMORPHIC = "no_antiholomorphic"
 
 
 # -- coefficient criterion for the antipodal involution ------------------------
+
+
+def antipodal_denominator(theta: CycloNum, coeffs: list[CycloNum]) -> list[CycloNum]:
+    """b_k = (-1)^k * theta * conj(a_(d-k)) for the numerator coefficients
+    a_0..a_d: the denominator rule of maps commuting with -1/conj(z)."""
+    d = len(coeffs) - 1
+    out = []
+    for k in range(d + 1):
+        term = theta * coeffs[d - k].conj()
+        out.append(-term if k % 2 == 1 else term)
+    return out
 
 
 def antipodal_witness(phi: RationalMap) -> CycloNum | None:
@@ -72,12 +82,8 @@ def antipodal_witness(phi: RationalMap) -> CycloNum | None:
             break
     if c is None or c.is_zero():
         return None
-    for k in range(d + 1):
-        expected = a[d - k].conj() * c
-        if k % 2 == 1:
-            expected = -expected
-        if b[k] != expected:
-            return None
+    if b != antipodal_denominator(c, a):
+        return None
     if not c.is_unimodular():
         return None
     return c
@@ -153,30 +159,12 @@ def _rotation_conjugate_solvable(psi: RationalMap):
     relations = [(k - k0, w0 / by_k[k]) for k in ks[1:]]  # c^delta = value
     if not relations:
         return True, 1.0 + 0j  # only one exponent class: any unimodular c works
-    g, val = relations[0]
-    for delta, value in relations[1:]:
-        new_g = math.gcd(g, delta)
-        x, y = _bezout(g, delta, new_g)
-        val = (val ** x) * (value ** y)
-        g = new_g
-    for delta, value in relations:
-        if val ** (delta // g) != value:
-            return False, None
+    folded = fold_power_relations(relations)
+    if folded is None:
+        return False, None
+    g, val = folded
     c_num = val.to_complex() ** (1.0 / g)
     return True, c_num
-
-
-def _bezout(a: int, b: int, g: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    assert old_r == g
-    return old_s, old_t
 
 
 def _inversion_identity_polynomials(psi: RationalMap) -> list[Poly]:
@@ -202,8 +190,6 @@ def _inversion_identity_polynomials(psi: RationalMap) -> list[Poly]:
 
 def _admissible_inversion_factors(psi: RationalMap):
     """(exact unimodular betas, includes_one, unresolved numeric betas)."""
-    from .polyring import poly_gcd
-
     eqs = _inversion_identity_polynomials(psi)
     if not eqs:
         # identity holds for every beta; beta = 1 included
@@ -217,20 +203,21 @@ def _admissible_inversion_factors(psi: RationalMap):
     includes_one = all(e.evaluate(one).is_zero() for e in eqs)
     exact: list[CycloNum] = []
     unresolved: list[complex] = []
+    # g.order is a multiple of 4; the field with zeta_8 comes first, since
+    # the field that accepts beta decides how it prints
+    m = g.order
+    fields = (common_order(m, 8), m, common_order(m, 12))
+
+    def is_root(beta: CycloNum) -> bool:
+        return beta.is_unimodular() and g.evaluate(beta).is_zero()
+
     if g.degree >= 1:
         for root, _ in roots_numeric(g):
             if abs(abs(root) - 1.0) > 1e-6:
                 continue
             if abs(root - 1.0) <= 1e-9:
                 continue  # handled exactly above
-            lifted = None
-            for order in {common_order(g.order, 4), common_order(g.order, 8), common_order(g.order, 12)}:
-                for cand in recognize_cyclo_candidates(root, order):
-                    if cand.is_unimodular() and g.evaluate(cand.rebase(common_order(cand.order, g.order))).is_zero():
-                        lifted = cand
-                        break
-                if lifted is not None:
-                    break
+            lifted = lift(root, fields, is_root)
             if lifted is not None:
                 exact.append(lifted)
             else:
@@ -244,8 +231,7 @@ def _root_of_unity_power(beta: CycloNum) -> tuple[int, int] | None:
     acc = beta
     for k in range(1, bound + 1):
         if acc.is_one():
-            # beta^k = 1; locate the exponent by matching phases exactly
-            phase = beta.to_complex()
+            # beta^k = 1; locate the exponent by exact comparison with zeta_k^j
             for j in range(k):
                 if beta == CycloNum.zeta(k, j):
                     return (k, j)
@@ -325,9 +311,7 @@ class Classification:
     report: AutGroupReport
 
     def holo_label(self) -> str:
-        if self.holo_kind in ("Cyclic", "Dihedral"):
-            return f"{self.holo_kind}({self.holo_n})"
-        return self.holo_kind
+        return self.report.holo_label()
 
 
 def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classification:

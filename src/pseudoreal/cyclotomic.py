@@ -9,10 +9,14 @@ so conjugation, unimodularity tests and the like are exact.
 
 Mixed-field arithmetic rebases both operands to the lcm of their orders;
 the strict single-field entry point is :func:`field_arith`.
+
+Floats become field elements through :func:`lift` alone: a lifted value is
+only a guess until the caller's exact check accepts it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -456,3 +460,98 @@ def common_order(*orders: int) -> int:
     for m in orders:
         out = math.lcm(out, m)
     return out
+
+
+# -- from floats to field elements ----------------------------------------
+
+# joint lifts try at most this many candidate combinations per field
+_MAX_COMBOS = 16
+
+
+def recognize_cyclo_candidates(
+    value: complex, order: int, denom_bound: int = 10**6, tol: float = 1e-7
+) -> list[CycloNum]:
+    """Candidate lifts of a float into Q(zeta_order), most structured first:
+    0, a rational, q * zeta^j, then a Gaussian rational.
+
+    Every candidate e satisfies |value - e| <= tol * max(1, |value|), but is
+    only an embedding-close guess; use it through :func:`lift`."""
+    out: list[CycloNum] = []
+    scale = max(1.0, abs(value))
+    if abs(value) <= tol:
+        return [CycloNum.zero(order)]
+    if abs(value.imag) <= tol * scale:
+        q = Fraction(value.real).limit_denominator(denom_bound)
+        if abs(value - complex(q)) <= tol * scale:
+            out.append(CycloNum.from_rational(q, order))
+    for j in range(1, order):
+        w = value * complex(
+            math.cos(2 * math.pi * j / order), -math.sin(2 * math.pi * j / order)
+        )
+        if abs(w.imag) <= tol * scale:
+            q = Fraction(w.real).limit_denominator(denom_bound)
+            if q != 0 and abs(w - complex(q)) <= tol * scale:
+                out.append(CycloNum.zeta(order, j) * CycloNum.from_rational(q, order))
+    if order % 4 == 0 and abs(value.imag) > tol * scale:
+        qr = Fraction(value.real).limit_denominator(denom_bound)
+        qi = Fraction(value.imag).limit_denominator(denom_bound)
+        if abs(value - complex(float(qr), float(qi))) <= tol * scale:
+            out.append(CycloNum.gaussian(qr, qi).rebase(order))
+    return out
+
+
+def lift(values, fields, check, denom_bound: int = 10**6):
+    """The first exact lift of ``values`` that ``check`` accepts, or None.
+
+    ``values`` is one complex number, or a tuple of them lifted jointly
+    into one field.  Fields are tried in the given order, each once.  Within
+    a field the candidates come from :func:`recognize_cyclo_candidates`; for
+    a tuple they are combined entry by entry in product order, at most
+    ``_MAX_COMBOS`` combinations per field.  ``check`` receives a CycloNum,
+    or a tuple of them for a tuple, and decides acceptance exactly: the
+    recognizer only guesses.
+
+    The try order is part of the contract: the field in which a value is
+    found decides how it prints."""
+    joint = isinstance(values, tuple)
+    entries = values if joint else (values,)
+    for m in dict.fromkeys(fields):
+        options = [recognize_cyclo_candidates(v, m, denom_bound) for v in entries]
+        for combo in itertools.islice(itertools.product(*options), _MAX_COMBOS):
+            cand = combo if joint else combo[0]
+            if check(cand):
+                return cand
+    return None
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """x, y with a x + b y = gcd(a, b), for a, b >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_s, old_t
+
+
+def fold_power_relations(relations) -> tuple[int, CycloNum] | None:
+    """Reduce the relations x^delta = v, given as (delta, v) pairs, to one
+    relation x^g = w with g the gcd of the exponents.
+
+    Returns (g, w), or None when the relations are inconsistent.  g = 0
+    means that every exponent vanishes and every v is 1, so any nonzero x
+    solves them."""
+    # x^delta = v is x^(-delta) = 1/v: make every exponent non-negative
+    rels = [(delta, v) if delta >= 0 else (-delta, v.inv()) for delta, v in relations]
+    g, w = rels[0]
+    for delta, v in rels[1:]:
+        x, y = _bezout(g, delta)
+        w = (w ** x) * (v ** y)
+        g = math.gcd(g, delta)
+    for delta, v in rels:
+        if (w ** (delta // g) if g else CycloNum.one(v.order)) != v:
+            return None
+    return g, w

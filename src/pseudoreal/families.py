@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from .autgrp import CanonicalCyclicForm
-from .classify import _rotation_conjugate_solvable
+from .classify import _rotation_conjugate_solvable, antipodal_denominator
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, ConditionViolationError, NotCanonicalError
 from .polyring import Poly
@@ -29,17 +29,6 @@ def silverman(d: int) -> RationalMap:
     z = Poly.x(4)
     one = Poly.one(4)
     return RationalMap.reduce(Poly.constant(i) * (z - one) ** d, (z + one) ** d)
-
-
-def _build_psi(theta: CycloNum, coeffs: list[CycloNum]) -> RationalMap:
-    r = len(coeffs) - 1
-    denom = []
-    for k in range(r + 1):
-        term = theta * coeffs[r - k].conj()
-        if k % 2 == 1:
-            term = -term
-        denom.append(term)
-    return RationalMap.reduce(Poly(coeffs), Poly(denom))
 
 
 def _support_in_residue_class(psi: RationalMap, modulus: int) -> bool:
@@ -79,7 +68,7 @@ def cyclic_pseudo_real_family(
             "a_0 * a_r = e^(2 i theta) * conj(a_0 * a_r): the inversion flip "
             "z -> s/z would be a symmetry"
         )
-    psi = _build_psi(theta, coeffs)
+    psi = RationalMap.reduce(Poly(coeffs), Poly(antipodal_denominator(theta, coeffs)))
     if psi.degree != r:
         raise ConditionViolationError("psi degenerated under reduction")
     # support condition: psi must not be a rational function of z^m

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import antipodal_witness
+from .classify import antipodal_denominator, antipodal_witness
 from .cyclotomic import CycloNum
 from .errors import BadDegreeError, ConditionViolationError, ResultantVanishesError
 from .polyring import Poly, poly_gcd
@@ -162,13 +162,7 @@ def antipodal_family(theta: CycloNum, coeffs) -> RationalMap:
     if not theta.is_unimodular():
         raise ConditionViolationError("theta parameter must be unimodular")
     numer = Poly(coeffs)
-    denom_coeffs = []
-    for k in range(d + 1):
-        term = theta * coeffs[d - k].conj()
-        if k % 2 == 1:
-            term = -term
-        denom_coeffs.append(term)
-    denom = Poly(denom_coeffs)
+    denom = Poly(antipodal_denominator(theta, coeffs))
     if numer.is_zero() or denom.is_zero():
         raise ResultantVanishesError("zero polynomial in the family")
     # formal-degree-d resultant vanishes iff gcd is nonconstant or both

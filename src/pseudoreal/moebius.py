@@ -351,25 +351,26 @@ def _points_equal(p, q) -> bool:
     return complex(p) == complex(q)
 
 
-def _three_point_rows(points):
-    """Rows of the matrix sending the three points to (0, 1, INF)."""
-    exact = any(isinstance(p, CycloNum) for p in points if not is_inf(p))
+def _homog_pairs(points, exact: bool):
+    """Homogeneous pairs (z, 1) and (1, 0) for INF, exact or complex."""
     if exact:
         one = CycloNum.one()
         zero = CycloNum.zero()
-        pairs = [
-            (one, zero) if is_inf(p) else (CycloNum._coerce(p), one) for p in points
-        ]
-    else:
-        pairs = [(1.0 + 0j, 0j) if is_inf(p) else (complex(p), 1.0 + 0j) for p in points]
+        return [(one, zero) if is_inf(p) else (CycloNum._coerce(p), one) for p in points]
+    return [(1.0 + 0j, 0j) if is_inf(p) else (complex(p), 1.0 + 0j) for p in points]
 
-    def cross(u, v):
-        return u[0] * v[1] - v[0] * u[1]
 
-    p, q, r = pairs
-    qr = cross(q, r)
-    qp = cross(q, p)
-    return ((qr * p[1], -(qr * p[0])), (qp * r[1], -(qp * r[0])))
+def _cross(u, v):
+    return u[0] * v[1] - v[0] * u[1]
+
+
+def _three_point_rows(points):
+    """Rows of the matrix sending the three points to (0, 1, INF)."""
+    exact = any(isinstance(p, CycloNum) for p in points if not is_inf(p))
+    p, q, r = _homog_pairs(points, exact)
+    qr = _cross(q, r)
+    qp = _cross(q, p)
+    return ((qr * p[1], -qr * p[0]), (qp * r[1], -qp * r[0]))
 
 
 def proj_distance(g: ExtendedMoebius, h: ExtendedMoebius) -> float:
@@ -400,21 +401,10 @@ def cross_ratio(z1, z2, z3, z4):
     if len(distinct) < 3:
         raise TooManyCoincidencesError("cross-ratio needs at least three distinct points")
     exact = any(isinstance(p, CycloNum) for p in pts if not is_inf(p))
-    if exact or all(is_inf(p) or isinstance(p, (int,)) for p in pts):
-        one = CycloNum.one()
-        zero = CycloNum.zero()
-        pairs = [
-            (one, zero) if is_inf(p) else (CycloNum._coerce(p), one) for p in pts
-        ]
-    else:
-        pairs = [(1.0 + 0j, 0j) if is_inf(p) else (complex(p), 1.0 + 0j) for p in pts]
-
-    def cross(u, v):
-        return u[0] * v[1] - v[0] * u[1]
-
-    p1, p2, p3, p4 = pairs
-    num = cross(p1, p3) * cross(p2, p4)
-    den = cross(p1, p4) * cross(p2, p3)
+    exact = exact or all(is_inf(p) or isinstance(p, (int,)) for p in pts)
+    p1, p2, p3, p4 = _homog_pairs(pts, exact)
+    num = _cross(p1, p3) * _cross(p2, p4)
+    den = _cross(p1, p4) * _cross(p2, p3)
     if isinstance(num, CycloNum):
         return INF if den.is_zero() else num / den
     return INF if den == 0 else num / den

@@ -234,10 +234,7 @@ class Poly:
         return out
 
     def evaluate_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.to_complex()
-        return acc
+        return horner(self.to_complex_coeffs(), z)
 
     def __repr__(self):
         if self.is_zero():
@@ -368,6 +365,14 @@ def resultant(p: Poly, q: Poly, deg_p: int | None = None, deg_q: int | None = No
 # -- numeric roots ---------------------------------------------------------
 
 
+def horner(coeffs: list[complex], z: complex) -> complex:
+    """Value at z of the polynomial with ascending complex coefficients."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
 def _aberth(coeffs: list[complex], max_iter: int = 400) -> list[complex]:
     """All roots of a squarefree complex polynomial (ascending coeffs)."""
     n = len(coeffs) - 1
@@ -388,13 +393,6 @@ def _aberth(coeffs: list[complex], max_iter: int = 400) -> list[complex]:
         for k in range(n)
     ]
     deriv = [k * a[k] for k in range(1, n + 1)]
-
-    def horner(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
     for _ in range(max_iter):
         moved = 0.0
         new = list(roots)
@@ -469,13 +467,6 @@ def roots_numeric(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
 
 def _polish(cs: list[complex], z: complex, rounds: int = 3) -> complex:
     deriv = [k * c for k, c in enumerate(cs)][1:]
-
-    def horner(arr, w):
-        acc = 0j
-        for c in reversed(arr):
-            acc = acc * w + c
-        return acc
-
     for _ in range(rounds):
         d = horner(deriv, z)
         if d == 0:

@@ -107,8 +107,8 @@ class RationalMap:
     def compose(self, other: "RationalMap") -> "RationalMap":
         """self o other as a rational map."""
         d = max(self.numer.degree, self.denom.degree)
-        num = _substitute_fraction(self.numer, other.numer, other.denom, d)
-        den = _substitute_fraction(self.denom, other.numer, other.denom, d)
+        num = _homogeneous_substitute(self.numer, other.numer, other.denom, d)
+        den = _homogeneous_substitute(self.denom, other.numer, other.denom, d)
         return RationalMap.reduce(num, den)
 
     def conjugate_by(self, g: ExtendedMoebius) -> "RationalMap":
@@ -311,10 +311,6 @@ def _homogeneous_substitute(p: Poly, u: Poly, v: Poly, formal_degree: int) -> Po
         if not coeffs[k].is_zero():
             acc = acc + v_pow.scale(coeffs[k])
     return acc
-
-
-def _substitute_fraction(p: Poly, num: Poly, den: Poly, formal_degree: int) -> Poly:
-    return _homogeneous_substitute(p, num, den, formal_degree)
 
 
 def _poly_expr(p: Poly) -> str:

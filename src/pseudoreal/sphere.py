@@ -45,15 +45,6 @@ def conj_point(p):
     return complex(p).conjugate()
 
 
-def to_numeric(p):
-    """Embed an exact sphere point into complex | INF."""
-    if p is INF:
-        return INF
-    if isinstance(p, CycloNum):
-        return p.to_complex()
-    return complex(p)
-
-
 def homog(p) -> tuple[complex, complex]:
     """Unit homogeneous representative of a numeric sphere point."""
     if p is INF:
@@ -63,18 +54,8 @@ def homog(p) -> tuple[complex, complex]:
     return (z / norm, 1.0 / norm + 0j)
 
 
-def from_homog(x: complex, y: complex, inf_cut: float = 1e13):
-    if y == 0 or abs(x) > inf_cut * abs(y):
-        return INF
-    return x / y
-
-
 def chordal(p, q) -> float:
     """Chordal distance between numeric sphere points, in [0, sqrt(2)]."""
     x1, y1 = p if isinstance(p, tuple) else homog(p)
     x2, y2 = q if isinstance(q, tuple) else homog(q)
     return abs(x1 * y2 - x2 * y1)
-
-
-def points_coincide(p, q, tol: float = 1e-9) -> bool:
-    return chordal(p, q) <= tol

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 from pseudoreal import CycloNum, ExtendedMoebius, Poly, RationalMap
@@ -48,7 +47,3 @@ def rotation_form_map(rng, n, psi):
     return RationalMap.reduce(
         z * psi.numer.substitute_power(n), psi.denom.substitute_power(n)
     )
-
-
-def seeded(name: str) -> random.Random:
-    return random.Random(hash(name) % (2**32))

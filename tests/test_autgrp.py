@@ -170,6 +170,7 @@ def test_normalizer_action_examples():
 
 def test_solve_normalizer_orbit():
     rng = random.Random(10)
+    cases = []
     for _ in range(10):
         psi = RationalMap.reduce(
             Poly([nonzero_gauss(rng), gauss(rng), nonzero_gauss(rng)]),
@@ -177,6 +178,12 @@ def test_solve_normalizer_orbit():
         )
         t = nonzero_gauss(rng)
         flip = rng.random() < 0.5
+        cases.append((psi, t, flip))
+    # exponent differences of both signs in the scale relations
+    u = Poly.x(4)
+    psi = RationalMap.reduce(u + u * u, Poly.one(4) + u * u)
+    cases += [(psi, 2, False), (psi, 3, True), (psi, CycloNum.gaussian(1, 1), False)]
+    for psi, t, flip in cases:
         moved = normalizer_action(psi, t, flip)
         sol = solve_normalizer_orbit(psi, moved)
         assert sol is not None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pseudoreal import CycloNum, conj, field_arith, is_unimodular, rebase, root_of_unity
-from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi
+from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi, lift
 from pseudoreal.errors import FieldMismatchError, NotASubfieldError
 
 from conftest import gauss
@@ -136,3 +136,53 @@ def test_expression_text_round_trip():
     for _ in range(20):
         v = gauss(rng) * root_of_unity(12, rng.randrange(12))
         assert parse_constant(v.to_expr()) == v
+
+
+def test_lift_returns_none_when_no_candidate_passes():
+    assert lift(1j, [4, 8, 12], lambda v: False) is None
+    # sqrt(2) is not in Q(i), so no candidate squares to 2 there
+    assert lift(math.sqrt(2), [4], lambda v: v * v == 2) is None
+    assert lift((0.5, 1j), [4, 8], lambda pair: pair[0] == pair[1]) is None
+
+
+def test_lift_result_passes_the_check():
+    rng = random.Random(7)
+    for _ in range(30):
+        if rng.random() < 0.5:
+            exact = gauss(rng)
+        else:
+            q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            exact = q * root_of_unity(8, rng.randrange(8))
+        noise = complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
+        noisy = exact.to_complex() + noise
+
+        def check(v):
+            return v == exact
+
+        got = lift(noisy, [4, 8], check)
+        assert got is not None and check(got)
+    # candidates the check rejects are skipped, on to the next field
+
+    def in_zeta8(v):
+        return v.order == 8
+
+    got = lift(1j, [4, 8], in_zeta8)
+    assert got is not None and in_zeta8(got) and got == CycloNum.i()
+    half, i = CycloNum.from_rational(Fraction(1, 2)), CycloNum.i()
+
+    def joint(pair):
+        return pair[0] * 2 == 1 and pair[1] * pair[1] == -1
+
+    got = lift((0.5, 1j), [4], joint)
+    assert got is not None and joint(got)
+    assert got[0] == half and got[1] == i
+
+
+def test_lift_first_field_in_order_wins():
+    i = CycloNum.i()
+    got = lift(1j, [8, 4], lambda v: v == i)
+    assert got.order == 8 and got == i
+    assert got.to_expr() == "w(8,2)"
+    got = lift(1j, [4, 8], lambda v: v == i)
+    assert got.order == 4 and got.coords == CycloNum.i().coords
+    assert got.to_expr() == "i"
