@@ -1,27 +1,39 @@
 """Automorphism groups of rational maps and the cyclic normal form.
 
-The search works on the distinguished set S = Fix(phi) u Crit(phi): every
-(anti)holomorphic automorphism permutes S and preserves the multiplicity
-labels, so fixing one source triple in S and enumerating label-compatible
-ordered target triples is a complete candidate generator.  Candidates are
-filtered by whether they map all of S into S (vectorized over numpy), and
-the few survivors are confirmed by projective comparison of the
-conjugated coefficient vector.
+The search works on the distinguished set S = Fix(phi) u Crit(phi), root-
+found once per report: every (anti)holomorphic automorphism permutes S and
+preserves the multiplicity labels, so fixing one source triple in S and
+enumerating label-compatible ordered target triples is a complete
+candidate generator.  The source triple comes from the rarest labels,
+which keeps the target triples few.  Candidates are filtered by whether
+they map all of S into S (vectorized over numpy), and the few survivors
+are confirmed by projective comparison of the conjugated coefficient
+vector.
 
 Confirmed numeric elements can then be certified.  Every float-to-exact
 step here (matrix entries, fixed points, square roots, roots of unity)
 goes through the one routine ``cyclotomic.lift``: bounded-denominator
 recognition proposes candidates field by field, and a lifted value is only
-a guess until an exact check accepts it (for a matrix, the commutation
-identity re-verified in exact arithmetic).  A failed lift leaves the
-element numeric and the report uncertified; it never produces a wrong
-exact claim.
+a guess until an exact check accepts it.  For a matrix M that check is the
+coefficient identity M F^s = lam F o M on phi's pair F = (P, Q) of
+degree-d forms (F^s with conjugated coefficients for antiholomorphic
+elements): the x^d and y^d coefficients first, then all 2d + 2.
+
+The report certifies a generating set, not every element (Faber, Manes and
+Viray, "Computing conjugating sets and automorphism groups of rational
+functions", J. Algebra 423, 2015): an element is certified on its own only
+when it is not an exact product of those certified before it, and the
+exact closure of the certified elements must match the numeric group
+element for element.  A failed lift leaves the element numeric and the
+report uncertified, and so does a closure that does not match; neither
+produces a wrong exact claim.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +48,7 @@ from .errors import (
 )
 from .moebius import ExtendedMoebius, _three_point_rows, proj_distance
 from .polyring import Poly
-from .ratmap import RationalMap
+from .ratmap import LabeledPoint, RationalMap, _homogeneous_substitute
 from .sphere import INF, conj_point, homog, is_inf
 
 
@@ -131,8 +143,10 @@ def _projective_residual(vec_new, vec_old) -> float:
     return err / norm if norm else 0.0
 
 
-def _search_orientation(phi: RationalMap, antiholo: bool, opts: SearchOptions):
-    pts = phi.distinguished_points(opts.root_tol)
+def _search_orientation(
+    phi: RationalMap, antiholo: bool, opts: SearchOptions, points: list[LabeledPoint] | None
+):
+    pts = phi.distinguished_points(opts.root_tol) if points is None else points
     if len(pts) > opts.search_cap:
         raise SearchBoundExceededError(
             f"distinguished set has {len(pts)} points, cap is {opts.search_cap}"
@@ -144,6 +158,10 @@ def _search_orientation(phi: RationalMap, antiholo: bool, opts: SearchOptions):
         return (0, round(lp.point.real, 9), round(lp.point.imag, 9))
 
     pts = sorted(pts, key=sort_key)
+    # rarest labels first: the source triple and the first probes come from
+    # the smallest label classes, which leaves the fewest target triples
+    class_size = Counter(lp.label for lp in pts)
+    pts.sort(key=lambda lp: class_size[lp.label])
     n_pts = len(pts)
     H = np.array([homog(lp.point) for lp in pts], dtype=complex)  # (N, 2)
     labels = [lp.label for lp in pts]
@@ -222,42 +240,66 @@ def _search_orientation(phi: RationalMap, antiholo: bool, opts: SearchOptions):
 
 
 def holomorphic_automorphisms(
-    phi: RationalMap, tol: float = 1e-8, opts: SearchOptions | None = None
+    phi: RationalMap,
+    tol: float = 1e-8,
+    opts: SearchOptions | None = None,
+    *,
+    points: list[LabeledPoint] | None = None,
 ) -> list[ExtendedMoebius]:
-    """All Moebius transformations commuting with phi (numeric mode)."""
+    """All Moebius transformations commuting with phi (numeric mode).
+
+    ``points`` is phi's distinguished set when the caller already has it."""
     opts = opts or SearchOptions(match_tol=tol)
-    out = _search_orientation(phi, antiholo=False, opts=opts)
+    out = _search_orientation(phi, antiholo=False, opts=opts, points=points)
     if not any(g.is_identity(1e-6) for g in out):
         out.insert(0, ExtendedMoebius(1 + 0j, 0j, 0j, 1 + 0j))
     return out
 
 
 def antiholomorphic_automorphisms(
-    phi: RationalMap, tol: float = 1e-8, opts: SearchOptions | None = None
+    phi: RationalMap,
+    tol: float = 1e-8,
+    opts: SearchOptions | None = None,
+    *,
+    points: list[LabeledPoint] | None = None,
 ) -> list[ExtendedMoebius]:
-    """All antiholomorphic transformations commuting with phi (numeric mode)."""
+    """All antiholomorphic transformations commuting with phi (numeric mode).
+
+    ``points`` is phi's distinguished set when the caller already has it."""
     opts = opts or SearchOptions(match_tol=tol)
-    return _search_orientation(phi, antiholo=True, opts=opts)
+    return _search_orientation(phi, antiholo=True, opts=opts, points=points)
 
 
 # -- group structure ---------------------------------------------------------
 
 
-def classify_group_type(elements: list[ExtendedMoebius], tol: float = 1e-7):
+def _element_orders(holo: list[ExtendedMoebius], tol: float = 1e-7) -> list[int]:
+    """Numeric orders of the holomorphic elements of a group of len(holo)."""
+    orders = []
+    for g in holo:
+        k = g.order(bound=2 * len(holo) + 1, tol=tol)
+        if k is None:
+            raise NotAGroupError("element order exceeds the group-order bound")
+        orders.append(k)
+    return orders
+
+
+def classify_group_type(
+    elements: list[ExtendedMoebius], tol: float = 1e-7, orders: list[int] | None = None
+):
     """(kind, n) for the holomorphic part: Trivial, Cyclic(n), Dihedral(n),
-    A4, S4 or A5, decided by the element-order multiset."""
+    A4, S4 or A5, decided by the element-order multiset.
+
+    ``orders`` are the numeric orders of the holomorphic elements, in
+    their order, when the caller has already computed them."""
     holo = [g for g in elements if not g.antiholo]
     n = len(holo)
     if n == 0:
         raise NotAGroupError("empty element list")
     if n == 1:
         return ("Trivial", None)
-    orders = []
-    for g in holo:
-        k = g.order(bound=2 * n + 1, tol=tol)
-        if k is None:
-            raise NotAGroupError("element order exceeds the group-order bound")
-        orders.append(k)
+    if orders is None:
+        orders = _element_orders(holo, tol)
     top = max(orders)
     if top == n:
         return ("Cyclic", n)
@@ -284,11 +326,59 @@ def closure_defect(elements: list[ExtendedMoebius], tol: float = 1e-6) -> float:
     return worst
 
 
+def _proportional(lhs: list, rhs: list) -> bool:
+    """lhs = lam * rhs for one scalar lam; rhs must not be all zero."""
+    j = next(k for k, r in enumerate(rhs) if not r.is_zero())
+    return all(x * rhs[j] == lhs[j] * y for x, y in zip(lhs, rhs))
+
+
+def _form_value(p: Poly, x: CycloNum, y: CycloNum, formal_degree: int) -> CycloNum:
+    """sum_k p_k x^k y^(D-k), the degree-D form of p at (x, y)."""
+    coeffs = p.padded(formal_degree + 1)
+    acc = coeffs[formal_degree]
+    y_pow = CycloNum.one(y.order)
+    for k in range(formal_degree - 1, -1, -1):
+        y_pow = y_pow * y
+        acc = acc * x
+        if not coeffs[k].is_zero():
+            acc = acc + coeffs[k] * y_pow
+    return acc
+
+
 def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
-    """Exact check that g o phi o g^(-1) = phi by symbolic expansion."""
+    """Exact check that g commutes with phi, i.e. g o phi o g^(-1) = phi.
+
+    Let F = (P, Q) be phi's pair of degree-d forms and F^s the pair with
+    conjugated coefficients when g is antiholomorphic.  Both M F^s(x, y) and
+    F(M (x, y)) are coprime pairs of degree-d forms (phi is reduced, M
+    invertible), so g commutes with phi iff the first is one scalar times
+    the second.  The x^d and y^d coefficients, the values at (1:0) and
+    (0:1), are compared first in O(d) operations, which rejects most
+    near-miss lifts; then all 2d + 2 coefficients.  No gcd is needed."""
     if not g.exact:
         raise TypeError("exact verification needs exact matrix entries")
-    return phi.conjugate_by(g).equals_projective(phi)
+    m = common_order(phi.field_order, g.a.order)
+    a, b, c, d = (e.rebase(m) for e in (g.a, g.b, g.c, g.d))
+    p, q = phi.numer.rebase(m), phi.denom.rebase(m)
+    deg = phi.degree
+
+    def twisted(value: CycloNum) -> CycloNum:
+        return value.conj() if g.antiholo else value
+
+    ends_lhs, ends_rhs = [], []
+    for k, (x, y) in ((deg, (a, c)), (0, (b, d))):
+        pk, qk = twisted(p.coeff(k)), twisted(q.coeff(k))
+        ends_lhs += [a * pk + b * qk, c * pk + d * qk]
+        ends_rhs += [_form_value(p, x, y, deg), _form_value(q, x, y, deg)]
+    if not _proportional(ends_lhs, ends_rhs):
+        return False
+    ps, qs = (p.conj(), q.conj()) if g.antiholo else (p, q)
+    u, v = Poly([b, a]), Poly([d, c])
+    lhs, rhs = [], []
+    for (s, t), form in (((a, b), p), ((c, d), q)):
+        lhs += (ps.scale(s) + qs.scale(t)).padded(deg + 1)
+        rhs += _homogeneous_substitute(form, u, v, deg).padded(deg + 1)
+    return _proportional(lhs, rhs)
 
 
 # -- exact lifting ------------------------------------------------------------
@@ -358,6 +448,24 @@ def _lift_holo_via_fixed_points(
     return None if lifted is None else rebuild(*fixed_pair(lifted))
 
 
+def _pivot_scaled(g: ExtendedMoebius):
+    """(j, entries / entry j) for a numeric g, where entry j is the first
+    entry above half the largest: the values a matrix lift starts from."""
+    entries = (g.a, g.b, g.c, g.d)
+    top = max(abs(e) for e in entries)
+    j = next(i for i, e in enumerate(entries) if abs(e) > 0.5 * top)
+    return j, tuple(e / entries[j] for e in entries)
+
+
+def _matrix_fields(phi: RationalMap, k: int | None) -> list[int]:
+    """The fields a matrix lift tries, in order: the map's field with i
+    adjoined, then its extensions by the roots of unity of orders k and 2k
+    (k the order of the element), or 8, 12 and 24 when k is unknown."""
+    base = common_order(phi.field_order, 4)
+    extra = (k, 2 * k) if k else (8, 12, 24)
+    return sorted({base, *(common_order(base, e) for e in extra)})
+
+
 def certify_element(
     phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions | None = None
 ) -> ExtendedMoebius | None:
@@ -369,9 +477,6 @@ def certify_element(
     if g.exact:
         return g if verify_automorphism_exact(phi, g) else None
     opts = opts or SearchOptions()
-    entries = [g.a, g.b, g.c, g.d]
-    top = max(abs(e) for e in entries)
-    pivot = next(e for e in entries if abs(e) > 0.5 * top)
 
     def commutes(lifted) -> bool:
         try:
@@ -380,13 +485,9 @@ def certify_element(
             return False
         return verify_automorphism_exact(phi, cand)
 
-    # the map's field with i adjoined, then its extensions by the roots of
-    # unity of orders k and 2k (k the order of g), or 8, 12 and 24
-    base = common_order(phi.field_order, 4)
     k = g.order(bound=2 * (phi.degree + 1), tol=1e-6)
-    extra = (k, 2 * k) if k else (8, 12, 24)
-    fields = sorted({base, *(common_order(base, e) for e in extra)})
-    lifted = lift(tuple(e / pivot for e in entries), fields, commutes, opts.denom_bound)
+    _, values = _pivot_scaled(g)
+    lifted = lift(values, _matrix_fields(phi, k), commutes, opts.denom_bound)
     if lifted is not None:
         return ExtendedMoebius(*lifted, antiholo=g.antiholo)
     if not g.antiholo and not g.is_identity(1e-9):
@@ -410,11 +511,109 @@ def _sort_elements(elements: list[ExtendedMoebius]) -> list[ExtendedMoebius]:
     return sorted(elements, key=key)
 
 
+def _same_element(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
+    """Equality of two exact elements in normalized form."""
+    return g.antiholo == h.antiholo and (g.a, g.b, g.c, g.d) == (h.a, h.b, h.c, h.d)
+
+
+def _near(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
+    """Same orientation and within 1e-6 projectively."""
+    return g.antiholo == h.antiholo and proj_distance(g, h) <= 1e-6
+
+
+def _close_under(closure: list, gens: list, cap: int) -> bool:
+    """Grow ``closure``, a list of (exact normalized element, its numeric
+    copy) closed under composition with gens[:-1], until it is closed under
+    all of gens, breadth first.  False once it would exceed cap elements.
+
+    Left products suffice: a set that holds the identity and is closed under
+    composition with the generators is the group they generate.  Old
+    elements only need the newest generator."""
+    n_old = len(closure)
+    i = 0
+    while i < len(closure):
+        x = closure[i][0]
+        for s in gens if i >= n_old else gens[-1:]:
+            y = s.compose(x).normalized()
+            if not any(_same_element(y, e) for e, _ in closure):
+                if len(closure) == cap:
+                    return False
+                closure.append((y, y.to_numeric()))
+        i += 1
+    return True
+
+
+def _lifted_like(
+    phi: RationalMap, g: ExtendedMoebius, k: int | None, e: ExtendedMoebius, opts: SearchOptions
+) -> ExtendedMoebius:
+    """The exact element e, lifted from the numeric g the way
+    ``certify_element`` lifts g, so that it prints the same; e scaled to
+    g's pivot when no candidate equals it."""
+    j, values = _pivot_scaled(g)
+    entries = (e.a, e.b, e.c, e.d)
+    pivot_inv = entries[j].inv()
+    target = tuple(x * pivot_inv for x in entries)
+    lifted = lift(values, _matrix_fields(phi, k), lambda cand: cand == target, opts.denom_bound)
+    return ExtendedMoebius(*(lifted or target), antiholo=g.antiholo)
+
+
+def _certify_group(
+    phi: RationalMap,
+    holos: list[ExtendedMoebius],
+    orders: list[int],
+    antis: list[ExtendedMoebius],
+    opts: SearchOptions,
+):
+    """Exact elements for the numeric group holos + antis from a certified
+    generating set; (elements, lift failures), or None when the exact
+    closure of the certified elements does not match the numeric list.
+
+    The identity is the empty product and needs no check.  Then come the
+    holomorphic elements by decreasing order, then the antiholomorphic
+    ones.  An element within 1e-6 of the exact closure so far is taken from
+    it, certified as a product of certified elements; any other one is
+    certified alone and becomes a generator."""
+    numeric = holos + antis
+    identity = ExtendedMoebius.identity(common_order(phi.field_order, 4))
+    closure = [(identity, identity.to_numeric())]
+    gens: list[ExtendedMoebius] = []
+    used: set[int] = set()  # closure indices already given to an element
+    bound = 2 * (phi.degree + 1)
+    work = sorted(zip(holos, orders), key=lambda gk: -gk[1])
+    work += [(g, g.order(bound=bound, tol=1e-6)) for g in antis]
+    exact: list[ExtendedMoebius] = []
+    failed = 0
+    for g, k in work:
+        idx = next((i for i, (_, num) in enumerate(closure) if _near(num, g)), None)
+        if idx is not None:
+            exact.append(_lifted_like(phi, g, k, closure[idx][0], opts))
+        else:
+            cert = certify_element(phi, g, opts)
+            if cert is None:
+                failed += 1
+                exact.append(g)
+                continue
+            gens.append(cert)
+            n_old = len(closure)
+            if not _close_under(closure, gens, len(numeric)):
+                return None
+            if not all(any(_near(num, h) for h in numeric) for _, num in closure[n_old:]):
+                return None
+            norm = cert.normalized()
+            idx = next(i for i, (e, _) in enumerate(closure) if _same_element(norm, e))
+            exact.append(cert)
+        if idx in used:
+            return None
+        used.add(idx)
+    return exact, failed
+
+
 def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> AutGroupReport:
     """Compute Aut(phi) and the antiholomorphic part, classify and certify."""
     opts = opts or SearchOptions()
-    holos = holomorphic_automorphisms(phi, opts=opts)
-    antis = antiholomorphic_automorphisms(phi, opts=opts)
+    points = phi.distinguished_points(opts.root_tol)
+    holos = holomorphic_automorphisms(phi, opts=opts, points=points)
+    antis = antiholomorphic_automorphisms(phi, opts=opts, points=points)
     elements = holos + antis
     notes: list[str] = []
     defect = closure_defect(elements, opts.dedup_tol)
@@ -424,23 +623,19 @@ def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> Aut
         raise NotAGroupError(
             f"antiholomorphic coset has size {len(antis)} against {len(holos)}"
         )
-    kind, n = classify_group_type(holos)
+    orders = _element_orders(holos)
+    kind, n = classify_group_type(holos, orders=orders)
     certified = False
     if opts.certify:
-        exact_elements = []
-        failed = 0
-        for g in elements:
-            e = certify_element(phi, g, opts)
-            if e is None:
-                failed += 1
-                exact_elements.append(g)
-            else:
-                exact_elements.append(e)
-        if failed == 0:
-            certified = True
+        result = _certify_group(phi, holos, orders, antis, opts)
+        if result is None:
+            notes.append("exact closure of the certified elements does not match the search")
         else:
-            notes.append(f"{failed} element(s) kept numeric; exact lift failed")
-        elements = exact_elements
+            elements, failed = result
+            if failed == 0:
+                certified = True
+            else:
+                notes.append(f"{failed} element(s) kept numeric; exact lift failed")
     return AutGroupReport(
         elements=_sort_elements(elements),
         holo_kind=kind,

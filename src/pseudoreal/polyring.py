@@ -427,7 +427,7 @@ def roots_numeric(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
     The exact squarefree decomposition is computed first and the Aberth
     iteration runs on each (simple-rooted) factor, so clustered output
     stays accurate even at high multiplicity.  Raises ConvergenceFailure
-    if any residual exceeds tol * (1 + max |coeff|).
+    if any root is not finite or any residual exceeds tol * (1 + max |coeff|).
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -444,6 +444,12 @@ def roots_numeric(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
         if len(cs) > 1:
             for r in _aberth(cs):
                 out.append((_polish(cs, r), mult))
+    # a NaN root would pass the residual test below, since nan > bound is False
+    nonfinite = [(root, math.nan) for root, _ in out if not cmath.isfinite(root)]
+    if nonfinite:
+        raise ConvergenceFailureError(
+            f"{len(nonfinite)} root(s) not finite", residuals=nonfinite
+        )
     abs_coeffs = [abs(c.to_complex()) for c in p.coeffs]
     bad = []
     for root, _ in out:

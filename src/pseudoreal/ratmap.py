@@ -150,19 +150,25 @@ class RationalMap:
         return self.numer - Poly.x(self.field_order) * self.denom
 
     def infinity_fixed_multiplicity(self) -> int:
+        return self._infinity_fixed_multiplicity(self.fixed_point_polynomial())
+
+    def _infinity_fixed_multiplicity(self, fixed_poly: Poly) -> int:
+        """Fixed multiplicity at infinity, given the fixed-point polynomial."""
         if self.numer.degree <= self.denom.degree:
             return 0
-        f = self.fixed_point_polynomial()
-        return (self.degree + 1) - f.degree
+        return (self.degree + 1) - fixed_poly.degree
 
     def critical_polynomial(self) -> Poly:
         """Wronskian P'Q - PQ'; roots are the finite critical points."""
         return self.numer.derivative() * self.denom - self.numer * self.denom.derivative()
 
     def infinity_critical_multiplicity(self) -> int:
-        w = self.critical_polynomial()
+        return self._infinity_critical_multiplicity(self.critical_polynomial())
+
+    def _infinity_critical_multiplicity(self, crit_poly: Poly) -> int:
+        """Critical multiplicity at infinity, given the Wronskian."""
         target = 2 * self.degree - 2
-        return target - w.degree if w.degree < target else 0
+        return target - crit_poly.degree if crit_poly.degree < target else 0
 
     def distinguished_points(self, tol: float = 1e-12) -> list["LabeledPoint"]:
         """Numeric Fix u Crit with (fixed, critical) multiplicity labels.
@@ -187,14 +193,14 @@ class RationalMap:
         if fixed_poly.degree >= 1:
             for root, mult in roots_numeric(fixed_poly, tol):
                 add(root, fixed_mult=mult)
-        inf_fix = self.infinity_fixed_multiplicity()
+        inf_fix = self._infinity_fixed_multiplicity(fixed_poly)
         if inf_fix:
             add(INF, fixed_mult=inf_fix)
         crit_poly = self.critical_polynomial()
         if crit_poly.degree >= 1:
             for root, mult in roots_numeric(crit_poly, tol):
                 add(root, crit_mult=mult)
-        inf_crit = self.infinity_critical_multiplicity()
+        inf_crit = self._infinity_critical_multiplicity(crit_poly)
         if inf_crit:
             add(INF, crit_mult=inf_crit)
         if len(merged) < 3:

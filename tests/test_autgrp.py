@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,11 @@ from pseudoreal import (
     solve_normalizer_orbit,
     verify_automorphism_exact,
 )
+from pseudoreal import autgrp
 from pseudoreal.autgrp import certify_element, closure_defect
+from pseudoreal.cyclotomic import common_order, recognize_cyclo_candidates
 from pseudoreal.errors import NotAnAutomorphismError, OrderMismatchError
-from pseudoreal.families import sample_degree13
+from pseudoreal.families import sample_degree3_order4, sample_degree13
 
 from conftest import gauss, nonzero_gauss, random_map, random_moebius, rotation_form_map
 
@@ -221,3 +224,92 @@ def test_search_after_scrambling_conjugation():
     form = canonicalize_cyclic(moved, gens[0])
     assert form.n == 3
     assert solve_normalizer_orbit(psi, form.psi) is not None
+
+
+def _reference_commutes(phi, g):
+    # the former check: conjugate by g, reduce with a gcd, compare maps
+    return phi.conjugate_by(g).equals_projective(phi)
+
+
+def _near_miss_candidates(phi, g, limit=8):
+    """Exact matrices built from the recognizer's guesses for g's entries,
+    scaled by the largest one: the exact element among them, and nearby
+    Gaussian-rational or wrong-field approximants."""
+    entries = [e.to_complex() for e in (g.a, g.b, g.c, g.d)]
+    pivot = max(entries, key=abs)
+    k = g.order(2 * (phi.degree + 1))
+    base = common_order(phi.field_order, 4)
+    out = []
+    for m in sorted({base, common_order(base, 2 * k), common_order(base, 8)}):
+        options = [recognize_cyclo_candidates(e / pivot, m) for e in entries]
+        for combo in itertools.islice(itertools.product(*options), limit):
+            try:
+                out.append(ExtendedMoebius(*combo, antiholo=g.antiholo))
+            except ValueError:
+                continue
+    return out
+
+
+def test_verify_automorphism_exact_agrees_with_reference():
+    rng = random.Random(12)
+    accepted = rejected = 0
+    for phi in (sample_degree13(), silverman(5), sample_degree3_order4()):
+        rep = aut_group_report(phi)
+        assert rep.certified and rep.antiholo_elements
+        candidates = []
+        for g in rep.elements:
+            candidates.append(g)
+            candidates += _near_miss_candidates(phi, g)
+        # rotations z -> zeta_24^j z: for sample_degree13 the even powers
+        # agree with phi on the x^d and y^d coefficients, and only the
+        # multiples of 4 commute, so the full comparison decides
+        moves = [ExtendedMoebius.rotation(24, j) for j in range(24)]
+        moves += [random_moebius(rng) for _ in range(4)]
+        for h in moves:
+            candidates += [h, ExtendedMoebius(h.a, h.b, h.c, h.d, antiholo=True)]
+        for g in candidates:
+            expected = _reference_commutes(phi, g)
+            assert verify_automorphism_exact(phi, g) == expected, (phi, g)
+            accepted += expected
+            rejected += not expected
+    assert accepted >= 18 and rejected >= 20
+
+
+def test_report_certifies_generators_only(monkeypatch):
+    phi = sample_degree13()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return certify_element(*args, **kwargs)
+
+    monkeypatch.setattr(autgrp, "certify_element", counting)
+    rep = aut_group_report(phi)
+    # one rotation generator and one antiholomorphic element; the other ten
+    # elements are exact products of these two
+    assert len(calls) <= 2
+    assert rep.certified and rep.mode == "exact" and len(rep.elements) == 12
+    for g in rep.elements:
+        assert g.exact and _reference_commutes(phi, g)
+
+
+def test_report_without_certified_generators_stays_numeric(monkeypatch):
+    phi = sample_degree13()
+    monkeypatch.setattr(autgrp, "certify_element", lambda *args, **kwargs: None)
+    rep = aut_group_report(phi)
+    assert not rep.certified and rep.mode == "numeric"
+    assert len(rep.elements) == 12
+    # the identity is the empty product and is exact without any check
+    assert all(not g.exact for g in rep.elements if not g.is_identity(1e-6))
+
+
+def test_report_rejects_a_closure_that_misses_the_search(monkeypatch):
+    # a "certified" generator whose powers are not in the numeric group must
+    # not yield a certified report
+    phi = sample_degree13()
+    monkeypatch.setattr(
+        autgrp, "certify_element", lambda *args, **kwargs: ExtendedMoebius.rotation(12, 1)
+    )
+    rep = aut_group_report(phi)
+    assert not rep.certified and rep.mode == "numeric"
+    assert not any(g.exact for g in rep.elements)

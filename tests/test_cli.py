@@ -1,12 +1,15 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
-from pseudoreal import CycloNum, silverman
+from pseudoreal import CycloNum, cyclic_pseudo_real_family, silverman
 from pseudoreal.cli import main, parse_constant, parse_map_expr
 from pseudoreal.errors import MapSyntaxError, NonRationalExpressionError
-from pseudoreal.families import sample_degree13
+from pseudoreal.families import sample_degree3_order4, sample_degree13
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -187,3 +190,26 @@ def test_batch_mode(tmp_path):
     assert code == 0
     reports = json.loads(out)
     assert [r["classification"]["verdict"] for r in reports] == ["real", "pseudo_real"]
+
+
+def _golden_family_map():
+    # its symmetries have entries in Q(zeta_8) and Q(zeta_16), outside Q(i)
+    i = CycloNum.i()
+    return cyclic_pseudo_real_family(8, 2, -1, [-1 + 2 * i, -2, -2 - 2 * i])
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("silverman5", lambda: silverman(5)),
+        ("sample_degree13", sample_degree13),
+        ("sample_degree3_order4", sample_degree3_order4),
+        ("cyclic_n8_r2", _golden_family_map),
+    ],
+)
+def test_analyze_json_matches_golden_report(name, build):
+    # the reports in tests/data are byte-exact `analyze --json` output;
+    # any change to a printed matrix, order or note shows up here
+    code, out, err = run_cli("analyze", "--map", build().to_expr(), "--json")
+    assert code == 0, err
+    assert out.encode() == (DATA / f"analyze_{name}.json").read_bytes()

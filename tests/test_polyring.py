@@ -3,8 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoreal import CycloNum, Poly, poly_gcd, resultant, roots_numeric, squarefree_decomposition
-from pseudoreal.errors import BothZeroError
+from pseudoreal import (
+    CycloNum,
+    ExtendedMoebius,
+    Poly,
+    cyclic_pseudo_real_family,
+    poly_gcd,
+    resultant,
+    roots_numeric,
+    squarefree_decomposition,
+)
+from pseudoreal.errors import BothZeroError, ConvergenceFailureError
 from pseudoreal.polyring import divides_exactly
 
 from conftest import gauss, random_poly
@@ -211,3 +220,16 @@ def test_high_multiplicity_roots_stay_accurate():
             assert abs(root - 1) < 1e-10
         else:
             assert abs(root + 2) < 1e-10
+
+
+def test_roots_numeric_rejects_nonfinite_roots():
+    # a degree-21 member of the rotation family, conjugated by a Gaussian-
+    # integer Moebius map: the Aberth iteration on the factors of its
+    # critical polynomial ends in NaN, and NaN passes no residual bound
+    i = CycloNum.i()
+    base = cyclic_pseudo_real_family(10, 2, -i, [2, 2 + i, 2 + i])
+    scrambler = ExtendedMoebius(-1 + 3 * i, 1 - i, -2 + 2 * i, 2 + 2 * i)
+    phi = base.conjugate_by(scrambler)
+    assert phi.degree == 21
+    with pytest.raises(ConvergenceFailureError):
+        roots_numeric(phi.critical_polynomial())
