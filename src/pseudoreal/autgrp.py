@@ -73,15 +73,27 @@ class SearchOptions:
 
 @dataclass
 class AutGroupReport:
-    """Holomorphic and antiholomorphic automorphisms plus group structure."""
+    """Holomorphic and antiholomorphic automorphisms plus group structure.
+
+    ``orders[i]`` is the order of ``elements[i]``: computed once on the
+    numeric group and carried to the exact element matched to it."""
 
     elements: list[ExtendedMoebius]
+    orders: list[int]
     holo_kind: str          # Trivial | Cyclic | Dihedral | A4 | S4 | A5
     holo_n: int | None      # the n of Cyclic(n) / Dihedral(n)
-    mode: str               # "exact" when every element certified, else "numeric"
     tolerances: dict
     certified: bool
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def mode(self) -> str:
+        """"exact" when every element is certified, else "numeric"."""
+        return "exact" if self.certified else "numeric"
+
+    def with_orders(self, antiholo: bool) -> list[tuple[ExtendedMoebius, int]]:
+        """(element, order) pairs of one orientation, in report order."""
+        return [(g, k) for g, k in zip(self.elements, self.orders) if g.antiholo == antiholo]
 
     @property
     def holo_elements(self) -> list[ExtendedMoebius]:
@@ -241,7 +253,6 @@ def _search_orientation(
 
 def holomorphic_automorphisms(
     phi: RationalMap,
-    tol: float = 1e-8,
     opts: SearchOptions | None = None,
     *,
     points: list[LabeledPoint] | None = None,
@@ -249,7 +260,7 @@ def holomorphic_automorphisms(
     """All Moebius transformations commuting with phi (numeric mode).
 
     ``points`` is phi's distinguished set when the caller already has it."""
-    opts = opts or SearchOptions(match_tol=tol)
+    opts = opts or SearchOptions()
     out = _search_orientation(phi, antiholo=False, opts=opts, points=points)
     if not any(g.is_identity(1e-6) for g in out):
         out.insert(0, ExtendedMoebius(1 + 0j, 0j, 0j, 1 + 0j))
@@ -258,7 +269,6 @@ def holomorphic_automorphisms(
 
 def antiholomorphic_automorphisms(
     phi: RationalMap,
-    tol: float = 1e-8,
     opts: SearchOptions | None = None,
     *,
     points: list[LabeledPoint] | None = None,
@@ -266,27 +276,27 @@ def antiholomorphic_automorphisms(
     """All antiholomorphic transformations commuting with phi (numeric mode).
 
     ``points`` is phi's distinguished set when the caller already has it."""
-    opts = opts or SearchOptions(match_tol=tol)
+    opts = opts or SearchOptions()
     return _search_orientation(phi, antiholo=True, opts=opts, points=points)
 
 
 # -- group structure ---------------------------------------------------------
 
 
-def _element_orders(holo: list[ExtendedMoebius], tol: float = 1e-7) -> list[int]:
-    """Numeric orders of the holomorphic elements of a group of len(holo)."""
+def _element_orders(elements: list[ExtendedMoebius], n_holo: int) -> list[int]:
+    """Numeric orders of the elements of a group with n_holo holomorphic
+    elements, all with one bound and one tolerance.  No order exceeds
+    2 * n_holo: the square of an antiholomorphic element is holomorphic."""
     orders = []
-    for g in holo:
-        k = g.order(bound=2 * len(holo) + 1, tol=tol)
+    for g in elements:
+        k = g.order(bound=2 * n_holo, tol=1e-6)
         if k is None:
             raise NotAGroupError("element order exceeds the group-order bound")
         orders.append(k)
     return orders
 
 
-def classify_group_type(
-    elements: list[ExtendedMoebius], tol: float = 1e-7, orders: list[int] | None = None
-):
+def classify_group_type(elements: list[ExtendedMoebius], orders: list[int] | None = None):
     """(kind, n) for the holomorphic part: Trivial, Cyclic(n), Dihedral(n),
     A4, S4 or A5, decided by the element-order multiset.
 
@@ -299,7 +309,7 @@ def classify_group_type(
     if n == 1:
         return ("Trivial", None)
     if orders is None:
-        orders = _element_orders(holo, tol)
+        orders = _element_orders(holo, n)
     top = max(orders)
     if top == n:
         return ("Cyclic", n)
@@ -315,7 +325,7 @@ def classify_group_type(
     raise NotAGroupError(f"order multiset {multiset} matches no finite rotation group")
 
 
-def closure_defect(elements: list[ExtendedMoebius], tol: float = 1e-6) -> float:
+def closure_defect(elements: list[ExtendedMoebius]) -> float:
     """Worst distance from any pairwise product to the element list."""
     worst = 0.0
     for g in elements:
@@ -498,17 +508,19 @@ def certify_element(
 # -- the full report -----------------------------------------------------------
 
 
-def _sort_elements(elements: list[ExtendedMoebius]) -> list[ExtendedMoebius]:
-    def key(g):
+def _sort_elements(pairs: list[tuple[ExtendedMoebius, int]]):
+    """(element, order) pairs by orientation, order and rounded entries."""
+
+    def key(pair):
+        g, k = pair
         num = g.to_numeric().normalized()
-        k = g.order(bound=200, tol=1e-6) or 10**6
         ent = tuple(
             (round(v.real, 7) + 0.0, round(v.imag, 7) + 0.0)
             for v in (num.a, num.b, num.c, num.d)
         )
         return (g.antiholo, k, ent)
 
-    return sorted(elements, key=key)
+    return sorted(pairs, key=key)
 
 
 def _same_element(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
@@ -559,39 +571,37 @@ def _lifted_like(
 
 def _certify_group(
     phi: RationalMap,
-    holos: list[ExtendedMoebius],
-    orders: list[int],
-    antis: list[ExtendedMoebius],
+    holos: list[tuple[ExtendedMoebius, int]],
+    antis: list[tuple[ExtendedMoebius, int]],
     opts: SearchOptions,
 ):
-    """Exact elements for the numeric group holos + antis from a certified
-    generating set; (elements, lift failures), or None when the exact
-    closure of the certified elements does not match the numeric list.
+    """Exact elements for the numeric group holos + antis, given as (element,
+    order) pairs, from a certified generating set; ((exact element, order)
+    pairs, lift failures), or None when the exact closure of the certified
+    elements does not match the numeric list.
 
     The identity is the empty product and needs no check.  Then come the
     holomorphic elements by decreasing order, then the antiholomorphic
     ones.  An element within 1e-6 of the exact closure so far is taken from
     it, certified as a product of certified elements; any other one is
     certified alone and becomes a generator."""
-    numeric = holos + antis
+    numeric = [g for g, _ in holos + antis]
     identity = ExtendedMoebius.identity(common_order(phi.field_order, 4))
     closure = [(identity, identity.to_numeric())]
     gens: list[ExtendedMoebius] = []
     used: set[int] = set()  # closure indices already given to an element
-    bound = 2 * (phi.degree + 1)
-    work = sorted(zip(holos, orders), key=lambda gk: -gk[1])
-    work += [(g, g.order(bound=bound, tol=1e-6)) for g in antis]
-    exact: list[ExtendedMoebius] = []
+    work = sorted(holos, key=lambda gk: -gk[1]) + antis
+    exact: list[tuple[ExtendedMoebius, int]] = []
     failed = 0
     for g, k in work:
         idx = next((i for i, (_, num) in enumerate(closure) if _near(num, g)), None)
         if idx is not None:
-            exact.append(_lifted_like(phi, g, k, closure[idx][0], opts))
+            exact.append((_lifted_like(phi, g, k, closure[idx][0], opts), k))
         else:
             cert = certify_element(phi, g, opts)
             if cert is None:
                 failed += 1
-                exact.append(g)
+                exact.append((g, k))
                 continue
             gens.append(cert)
             n_old = len(closure)
@@ -601,7 +611,7 @@ def _certify_group(
                 return None
             norm = cert.normalized()
             idx = next(i for i, (e, _) in enumerate(closure) if _same_element(norm, e))
-            exact.append(cert)
+            exact.append((cert, k))
         if idx in used:
             return None
         used.add(idx)
@@ -616,31 +626,35 @@ def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> Aut
     antis = antiholomorphic_automorphisms(phi, opts=opts, points=points)
     elements = holos + antis
     notes: list[str] = []
-    defect = closure_defect(elements, opts.dedup_tol)
+    defect = closure_defect(elements)
     if defect > 10 * opts.dedup_tol:
         raise NotAGroupError(f"element list not closed under composition ({defect:.2e})")
     if antis and len(antis) != len(holos):
         raise NotAGroupError(
             f"antiholomorphic coset has size {len(antis)} against {len(holos)}"
         )
-    orders = _element_orders(holos)
-    kind, n = classify_group_type(holos, orders=orders)
+    orders = _element_orders(elements, len(holos))
+    kind, n = classify_group_type(holos, orders=orders[: len(holos)])
+    holo_pairs = list(zip(holos, orders))
+    anti_pairs = list(zip(antis, orders[len(holos) :]))
+    pairs = holo_pairs + anti_pairs
     certified = False
     if opts.certify:
-        result = _certify_group(phi, holos, orders, antis, opts)
+        result = _certify_group(phi, holo_pairs, anti_pairs, opts)
         if result is None:
             notes.append("exact closure of the certified elements does not match the search")
         else:
-            elements, failed = result
+            pairs, failed = result
             if failed == 0:
                 certified = True
             else:
                 notes.append(f"{failed} element(s) kept numeric; exact lift failed")
+    pairs = _sort_elements(pairs)
     return AutGroupReport(
-        elements=_sort_elements(elements),
+        elements=[g for g, _ in pairs],
+        orders=[k for _, k in pairs],
         holo_kind=kind,
         holo_n=n,
-        mode="exact" if certified else "numeric",
         tolerances=opts.tolerances(),
         certified=certified,
         notes=notes,

@@ -309,6 +309,7 @@ class Classification:
     certified: bool
     consistency_notes: list[str]
     report: AutGroupReport
+    form: CanonicalCyclicForm | None  # the rotation normal form, for Cyclic groups
 
     def holo_label(self) -> str:
         return self.report.holo_label()
@@ -322,12 +323,10 @@ def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classif
     report = aut_group_report(phi, opts)
     notes = list(report.notes)
     antis = report.antiholo_elements
-    bound = 2 * (phi.degree + 1)
 
     reflection = None
     imaginary = None
-    for g in antis:
-        k = g.order(bound, tol=1e-6)
+    for g, k in report.with_orders(antiholo=True):
         if k == 2:
             kind = g.classify_involution(tol=1e-6)
             if kind == "reflection" and reflection is None:
@@ -349,17 +348,15 @@ def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classif
     alpha = None
     alpha_numeric = None
     beta = None
+    form = None
     certified = report.certified
     if report.holo_kind == "Trivial" and antis:
         notes.append("trivial symmetry group: classified by involution type")
     if report.holo_kind == "Cyclic":
         exact_gens = [
-            g
-            for g in report.holo_elements
-            if g.exact and g.order(bound) == report.holo_n
+            g for g, k in report.with_orders(antiholo=False) if g.exact and k == report.holo_n
         ]
         if exact_gens:
-            form = None
             for gen in exact_gens:
                 try:
                     form = canonicalize_cyclic(phi, gen)
@@ -419,6 +416,7 @@ def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classif
         certified=certified,
         consistency_notes=notes,
         report=report,
+        form=form,
     )
 
 

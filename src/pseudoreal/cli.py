@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-from .autgrp import SearchOptions, canonicalize_cyclic, verify_automorphism_exact
+from .autgrp import SearchOptions, verify_automorphism_exact
 from .classify import Classification, classify_map
 from .cyclotomic import CycloNum
 from .errors import (
@@ -283,8 +284,7 @@ def _fmt_entry(v) -> str:
     return _fmt_complex(complex(v))
 
 
-def _element_json(g: ExtendedMoebius, bound: int) -> dict:
-    order = g.order(bound, tol=1e-6)
+def _element_json(g: ExtendedMoebius, order: int) -> dict:
     return {
         "matrix": [
             [_fmt_entry(g.a), _fmt_entry(g.b)],
@@ -303,16 +303,11 @@ def _tolerances_json(opts: SearchOptions) -> dict:
 def _classification_json(
     result: Classification, expr: str, opts: SearchOptions
 ) -> dict:
-    bound = 2 * (result.degree + 1)
-    antis = result.report.antiholo_elements
-    anti_orders = [g.order(bound, tol=1e-6) for g in antis]
-    anti_orders = [k for k in anti_orders if k is not None]
-    generators = []
-    holo = [g for g in result.report.holo_elements if not g.is_identity(1e-9)]
-    if result.holo_kind == "Cyclic" and holo:
-        generators = [max(holo, key=lambda g: g.order(bound, tol=1e-6) or 0)]
-    elif holo:
-        generators = holo
+    holos = result.report.with_orders(antiholo=False)
+    antis = result.report.with_orders(antiholo=True)
+    generators = [(g, k) for g, k in holos if k > 1]
+    if result.holo_kind == "Cyclic" and generators:
+        generators = [max(generators, key=lambda gk: gk[1])]
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": expr,
@@ -321,20 +316,18 @@ def _classification_json(
         "tolerances": _tolerances_json(opts),
         "aut": {
             "holo_type": result.holo_label(),
-            "order": len(result.report.holo_elements),
-            "generators": [_element_json(g, bound) for g in generators],
-            "elements": [
-                _element_json(g, bound) for g in result.report.holo_elements
-            ],
+            "order": len(holos),
+            "generators": [_element_json(g, k) for g, k in generators],
+            "elements": [_element_json(g, k) for g, k in holos],
         },
         "antiholo": {
             "exists": bool(antis),
             "count": len(antis),
-            "min_order": min(anti_orders) if anti_orders else None,
-            "max_order": max(anti_orders) if anti_orders else None,
+            "min_order": min((k for _, k in antis), default=None),
+            "max_order": max((k for _, k in antis), default=None),
             "has_reflection": result.reflection_witness is not None,
             "has_imaginary_reflection": result.imaginary_witness is not None,
-            "witnesses": [_element_json(g, bound) for g in antis],
+            "witnesses": [_element_json(g, k) for g, k in antis],
         },
         "classification": {
             "verdict": result.verdict,
@@ -454,16 +447,10 @@ def _cmd_quotient(args, out, err) -> int:
             f"error: quotient needs a cyclic symmetry group, found {result.holo_label()}\n"
         )
         return EXIT_INPUT
-    bound = 2 * (phi.degree + 1)
-    gens = [
-        g
-        for g in result.report.holo_elements
-        if g.exact and g.order(bound) == result.holo_n
-    ]
-    if not gens:
+    form = result.form
+    if form is None:
         err.write("error: no exact cyclic generator available for the quotient\n")
         return EXIT_SEARCH
-    form = canonicalize_cyclic(phi, gens[0])
     quot = quotient_map(form)
     verified = verify_semiconjugacy(form.canonical_map(), quot, form.n)
     payload = {
@@ -565,7 +552,8 @@ def _cmd_moduli(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     phi, echo = _read_map(args)
-    raw = args.auto.strip()
+    # no whitespace around brackets and commas: Python and JSON print [[0, 1], [1, 0]]
+    raw = re.sub(r"\s*([\[\],])\s*", r"\1", args.auto.strip())
     if not (raw.startswith("[[") and raw.endswith("]]")):
         err.write("error: matrix must look like [[a,b],[c,d]]\n")
         return EXIT_INPUT

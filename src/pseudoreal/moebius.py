@@ -117,9 +117,6 @@ class ExtendedMoebius:
             self.antiholo != other.antiholo,
         )
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def inverse(self) -> "ExtendedMoebius":
         adj = ExtendedMoebius(self.d, -self.b, -self.c, self.a, self.antiholo)
         return adj.conj_entries() if self.antiholo else adj
@@ -211,11 +208,6 @@ class ExtendedMoebius:
         return cls(one, zero, zero, one)
 
     @classmethod
-    def from_matrix(cls, rows, antiholo: bool = False) -> "ExtendedMoebius":
-        (a, b), (c, d) = rows
-        return cls(a, b, c, d, antiholo)
-
-    @classmethod
     def rotation(cls, m: int, k: int = 1) -> "ExtendedMoebius":
         """z -> zeta_m^k z."""
         zero = CycloNum.zero(m)
@@ -287,14 +279,6 @@ class ExtendedMoebius:
     # -- named finite-subgroup generators ---------------------------------------
 
     @classmethod
-    def generator_T(cls, n: int) -> "ExtendedMoebius":
-        return cls.rotation(n, 1)
-
-    @classmethod
-    def generator_A(cls) -> "ExtendedMoebius":
-        return cls.inversion()
-
-    @classmethod
     def generator_B(cls) -> "ExtendedMoebius":
         # sqrt(3) = zeta_12 + zeta_12^-1
         s3 = CycloNum.zeta(12, 1) + CycloNum.zeta(12, 11)
@@ -331,9 +315,9 @@ def named_generator(which: str, n: int | None = None) -> ExtendedMoebius:
     if which == "T":
         if n is None or n < 1:
             raise ValueError("generator T needs a positive order n")
-        return ExtendedMoebius.generator_T(n)
+        return ExtendedMoebius.rotation(n, 1)
     table = {
-        "A": ExtendedMoebius.generator_A,
+        "A": ExtendedMoebius.inversion,
         "B": ExtendedMoebius.generator_B,
         "C": ExtendedMoebius.generator_C,
         "D": ExtendedMoebius.generator_D,

@@ -55,11 +55,6 @@ class Poly:
     def constant(cls, value, order: int = 1) -> "Poly":
         return cls([CycloNum._coerce(value)], order)
 
-    @classmethod
-    def monomial(cls, k: int, coeff=1, order: int = 1) -> "Poly":
-        c = CycloNum._coerce(coeff)
-        return cls([CycloNum.zero(c.order)] * k + [c], order)
-
     # -- basic structure -------------------------------------------------
 
     @property

@@ -52,10 +52,6 @@ class RationalMap:
         inv = pivot.inv()
         return cls(numer.scale(inv), denom.scale(inv), _reduced=True)
 
-    @classmethod
-    def from_expr_pair(cls, numer_coeffs, denom_coeffs) -> "RationalMap":
-        return cls.reduce(Poly(numer_coeffs), Poly(denom_coeffs))
-
     @property
     def field_order(self) -> int:
         return common_order(self.numer.order, self.denom.order)
@@ -161,9 +157,6 @@ class RationalMap:
     def critical_polynomial(self) -> Poly:
         """Wronskian P'Q - PQ'; roots are the finite critical points."""
         return self.numer.derivative() * self.denom - self.numer * self.denom.derivative()
-
-    def infinity_critical_multiplicity(self) -> int:
-        return self._infinity_critical_multiplicity(self.critical_polynomial())
 
     def _infinity_critical_multiplicity(self, crit_poly: Poly) -> int:
         """Critical multiplicity at infinity, given the Wronskian."""

@@ -1,10 +1,19 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from pseudoreal import CycloNum, cyclic_pseudo_real_family, silverman
+from pseudoreal import (
+    CycloNum,
+    ExtendedMoebius,
+    aut_group_report,
+    classify,
+    cli,
+    cyclic_pseudo_real_family,
+    silverman,
+)
 from pseudoreal.cli import main, parse_constant, parse_map_expr
 from pseudoreal.errors import MapSyntaxError, NonRationalExpressionError
 from pseudoreal.families import sample_degree3_order4, sample_degree13
@@ -145,6 +154,23 @@ def test_quotient_subcommand():
     assert code == 2 and "cyclic" in err
 
 
+def test_quotient_reuses_the_classification_normal_form(monkeypatch):
+    calls = []
+    original = classify.canonicalize_cyclic
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # patched in every module that may bind the name, so that a second
+    # canonicalization anywhere on the quotient path is counted
+    for module in (classify, cli):
+        monkeypatch.setattr(module, "canonicalize_cyclic", counting, raising=False)
+    code, _, err = run_cli("quotient", "--map", sample_degree13().to_expr(), "--json")
+    assert code == 0, err
+    assert len(calls) == 1
+
+
 def test_moduli_subcommand():
     code, out, _ = run_cli("moduli", "--degree", "13", "--n", "6")
     assert code == 0
@@ -163,6 +189,12 @@ def test_verify_subcommand():
         "verify", "--map", "z^3", "--auto", "[[0,1],[1,0]]", "--antiholo", "true"
     )
     assert code == 0
+    assert json.loads(out)["verified"] is True
+    # the spaced form printed by Python and JSON
+    code, out, err = run_cli(
+        "verify", "--map", "z^3", "--auto", "[[0, 1], [1, 0]]", "--antiholo", "true"
+    )
+    assert code == 0, err
     assert json.loads(out)["verified"] is True
     code, out, _ = run_cli(
         "verify", "--map", "z^3", "--auto", "[[i,0],[0,1]]", "--antiholo", "false"
@@ -198,18 +230,50 @@ def _golden_family_map():
     return cyclic_pseudo_real_family(8, 2, -1, [-1 + 2 * i, -2, -2 - 2 * i])
 
 
-@pytest.mark.parametrize(
-    "name, build",
-    [
-        ("silverman5", lambda: silverman(5)),
-        ("sample_degree13", sample_degree13),
-        ("sample_degree3_order4", sample_degree3_order4),
-        ("cyclic_n8_r2", _golden_family_map),
-    ],
-)
+GOLDEN_MAPS = [
+    ("silverman5", lambda: silverman(5)),
+    ("sample_degree13", sample_degree13),
+    ("sample_degree3_order4", sample_degree3_order4),
+    ("cyclic_n8_r2", _golden_family_map),
+]
+
+
+@pytest.mark.parametrize("name, build", GOLDEN_MAPS)
 def test_analyze_json_matches_golden_report(name, build):
     # the reports in tests/data are byte-exact `analyze --json` output;
     # any change to a printed matrix, order or note shows up here
     code, out, err = run_cli("analyze", "--map", build().to_expr(), "--json")
     assert code == 0, err
     assert out.encode() == (DATA / f"analyze_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, build", GOLDEN_MAPS)
+def test_report_orders_match_the_exact_power_loop(name, build):
+    phi = build()
+    rep = aut_group_report(phi)
+    assert rep.certified and len(rep.orders) == len(rep.elements)
+    for g, k in zip(rep.elements, rep.orders):
+        assert g.exact and k == g.order(2 * (phi.degree + 1))
+
+
+@pytest.mark.parametrize(
+    "build, callers",
+    [(sample_degree13, ["canonicalize_cyclic"]), (lambda: silverman(5), [])],
+)
+def test_analyze_powers_exact_elements_only_to_certify_the_generator(
+    monkeypatch, build, callers
+):
+    # element orders come from the report; the one exact power loop left
+    # certifies the order of the cyclic generator
+    seen = []
+    original = ExtendedMoebius.order
+
+    def recording(self, *args, **kwargs):
+        if self.exact:
+            seen.append(sys._getframe(1).f_code.co_name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtendedMoebius, "order", recording)
+    code, _, err = run_cli("analyze", "--map", build().to_expr(), "--json")
+    assert code == 0, err
+    assert seen == callers
