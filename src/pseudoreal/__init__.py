@@ -4,7 +4,6 @@ maps on the Riemann sphere."""
 from .autgrp import (
     AutGroupReport,
     CanonicalCyclicForm,
-    SearchOptions,
     antiholomorphic_automorphisms,
     aut_group_report,
     canonicalize_cyclic,
@@ -65,7 +64,6 @@ __all__ = [
     "Poly",
     "RationalMap",
     "RotationFormCheck",
-    "SearchOptions",
     "admissible_cyclic_params",
     "antiholo_order_feasibility",
     "antiholomorphic_automorphisms",

@@ -47,28 +47,20 @@ from .errors import (
     SearchBoundExceededError,
 )
 from .moebius import ExtendedMoebius, _three_point_rows, proj_distance
-from .polyring import Poly
+from .polyring import ROOT_TOL, Poly
 from .ratmap import LabeledPoint, RationalMap, _homogeneous_substitute
 from .sphere import INF, conj_point, homog, is_inf
 
 
-@dataclass
-class SearchOptions:
-    root_tol: float = 1e-12
-    match_tol: float = 1e-8
-    dedup_tol: float = 1e-7
-    probe_tol: float = 1e-6
-    search_cap: int = 200
-    certify: bool = True
-    denom_bound: int = 10**6
-
-    def tolerances(self) -> dict:
-        return {
-            "root": self.root_tol,
-            "match": self.match_tol,
-            "dedup": self.dedup_tol,
-            "probe": self.probe_tol,
-        }
+# the search accepts a candidate whose conjugated coefficient vector is within
+# MATCH_TOL of phi's, merges elements within DEDUP_TOL, keeps a candidate
+# while every probe point lands within PROBE_TOL of the set, and refuses
+# distinguished sets of more than SEARCH_CAP points
+MATCH_TOL = 1e-8
+DEDUP_TOL = 1e-7
+PROBE_TOL = 1e-6
+SEARCH_CAP = 200
+TOLERANCES = {"root": ROOT_TOL, "match": MATCH_TOL, "dedup": DEDUP_TOL, "probe": PROBE_TOL}
 
 
 @dataclass
@@ -82,7 +74,7 @@ class AutGroupReport:
     orders: list[int]
     holo_kind: str          # Trivial | Cyclic | Dihedral | A4 | S4 | A5
     holo_n: int | None      # the n of Cyclic(n) / Dihedral(n)
-    tolerances: dict
+    points: list[LabeledPoint]  # the distinguished set the search ran on
     certified: bool
     notes: list[str] = field(default_factory=list)
 
@@ -155,13 +147,11 @@ def _projective_residual(vec_new, vec_old) -> float:
     return err / norm if norm else 0.0
 
 
-def _search_orientation(
-    phi: RationalMap, antiholo: bool, opts: SearchOptions, points: list[LabeledPoint] | None
-):
-    pts = phi.distinguished_points(opts.root_tol) if points is None else points
-    if len(pts) > opts.search_cap:
+def _search_orientation(phi: RationalMap, antiholo: bool, points: list[LabeledPoint] | None):
+    pts = phi.distinguished_points() if points is None else points
+    if len(pts) > SEARCH_CAP:
         raise SearchBoundExceededError(
-            f"distinguished set has {len(pts)} points, cap is {opts.search_cap}"
+            f"distinguished set has {len(pts)} points, cap is {SEARCH_CAP}"
         )
 
     def sort_key(lp):
@@ -233,7 +223,7 @@ def _search_orientation(
         x, y = x / scale, y / scale
         cls = H[np.array(classes[lp.label], dtype=int)]
         dist = np.abs(x[:, None] * cls[None, :, 1] - y[:, None] * cls[None, :, 0])
-        alive = alive[dist.min(axis=1) <= opts.probe_tol]
+        alive = alive[dist.min(axis=1) <= PROBE_TOL]
 
     # confirm survivors on the coefficient vector
     d = phi.degree
@@ -244,40 +234,32 @@ def _search_orientation(
     for row in cand[alive]:
         mat = tuple(complex(v) for v in row)
         new_p, new_q = _numeric_conjugated_coeffs(p_c, q_c, mat, antiholo, d)
-        if _projective_residual(new_p + new_q, vec_old) <= opts.match_tol:
+        if _projective_residual(new_p + new_q, vec_old) <= MATCH_TOL:
             g = ExtendedMoebius(*mat, antiholo=antiholo).normalized()
-            if not any(proj_distance(g, h) <= opts.dedup_tol for h in found):
+            if not any(proj_distance(g, h) <= DEDUP_TOL for h in found):
                 found.append(g)
     return found
 
 
 def holomorphic_automorphisms(
-    phi: RationalMap,
-    opts: SearchOptions | None = None,
-    *,
-    points: list[LabeledPoint] | None = None,
+    phi: RationalMap, *, points: list[LabeledPoint] | None = None
 ) -> list[ExtendedMoebius]:
     """All Moebius transformations commuting with phi (numeric mode).
 
     ``points`` is phi's distinguished set when the caller already has it."""
-    opts = opts or SearchOptions()
-    out = _search_orientation(phi, antiholo=False, opts=opts, points=points)
+    out = _search_orientation(phi, antiholo=False, points=points)
     if not any(g.is_identity(1e-6) for g in out):
         out.insert(0, ExtendedMoebius(1 + 0j, 0j, 0j, 1 + 0j))
     return out
 
 
 def antiholomorphic_automorphisms(
-    phi: RationalMap,
-    opts: SearchOptions | None = None,
-    *,
-    points: list[LabeledPoint] | None = None,
+    phi: RationalMap, *, points: list[LabeledPoint] | None = None
 ) -> list[ExtendedMoebius]:
     """All antiholomorphic transformations commuting with phi (numeric mode).
 
     ``points`` is phi's distinguished set when the caller already has it."""
-    opts = opts or SearchOptions()
-    return _search_orientation(phi, antiholo=True, opts=opts, points=points)
+    return _search_orientation(phi, antiholo=True, points=points)
 
 
 # -- group structure ---------------------------------------------------------
@@ -407,9 +389,7 @@ def _numeric_fixed_points(g: ExtendedMoebius):
     return ((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)
 
 
-def _lift_holo_via_fixed_points(
-    phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions
-) -> ExtendedMoebius | None:
+def _lift_holo_via_fixed_points(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | None:
     """An elliptic holomorphic element rebuilt from its fixed-point pair and
     rotation multiplier, verified to commute with phi, or None.
 
@@ -454,7 +434,7 @@ def _lift_holo_via_fixed_points(
 
     base = common_order(phi.field_order, 4)
     values = p_num if q_num is INF else (p_num, q_num)
-    lifted = lift(values, (base, common_order(base, k)), commutes, opts.denom_bound)
+    lifted = lift(values, (base, common_order(base, k)), commutes)
     return None if lifted is None else rebuild(*fixed_pair(lifted))
 
 
@@ -476,9 +456,7 @@ def _matrix_fields(phi: RationalMap, k: int | None) -> list[int]:
     return sorted({base, *(common_order(base, e) for e in extra)})
 
 
-def certify_element(
-    phi: RationalMap, g: ExtendedMoebius, opts: SearchOptions | None = None
-) -> ExtendedMoebius | None:
+def certify_element(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | None:
     """Exact element verified to commute with phi, or None.
 
     The four entries, scaled by a large one, are lifted jointly and the
@@ -486,7 +464,6 @@ def certify_element(
     resists this in every field is rebuilt from its fixed points."""
     if g.exact:
         return g if verify_automorphism_exact(phi, g) else None
-    opts = opts or SearchOptions()
 
     def commutes(lifted) -> bool:
         try:
@@ -497,11 +474,11 @@ def certify_element(
 
     k = g.order(bound=2 * (phi.degree + 1), tol=1e-6)
     _, values = _pivot_scaled(g)
-    lifted = lift(values, _matrix_fields(phi, k), commutes, opts.denom_bound)
+    lifted = lift(values, _matrix_fields(phi, k), commutes)
     if lifted is not None:
         return ExtendedMoebius(*lifted, antiholo=g.antiholo)
     if not g.antiholo and not g.is_identity(1e-9):
-        return _lift_holo_via_fixed_points(phi, g, opts)
+        return _lift_holo_via_fixed_points(phi, g)
     return None
 
 
@@ -556,7 +533,7 @@ def _close_under(closure: list, gens: list, cap: int) -> bool:
 
 
 def _lifted_like(
-    phi: RationalMap, g: ExtendedMoebius, k: int | None, e: ExtendedMoebius, opts: SearchOptions
+    phi: RationalMap, g: ExtendedMoebius, k: int | None, e: ExtendedMoebius
 ) -> ExtendedMoebius:
     """The exact element e, lifted from the numeric g the way
     ``certify_element`` lifts g, so that it prints the same; e scaled to
@@ -565,7 +542,7 @@ def _lifted_like(
     entries = (e.a, e.b, e.c, e.d)
     pivot_inv = entries[j].inv()
     target = tuple(x * pivot_inv for x in entries)
-    lifted = lift(values, _matrix_fields(phi, k), lambda cand: cand == target, opts.denom_bound)
+    lifted = lift(values, _matrix_fields(phi, k), lambda cand: cand == target)
     return ExtendedMoebius(*(lifted or target), antiholo=g.antiholo)
 
 
@@ -573,7 +550,6 @@ def _certify_group(
     phi: RationalMap,
     holos: list[tuple[ExtendedMoebius, int]],
     antis: list[tuple[ExtendedMoebius, int]],
-    opts: SearchOptions,
 ):
     """Exact elements for the numeric group holos + antis, given as (element,
     order) pairs, from a certified generating set; ((exact element, order)
@@ -596,9 +572,9 @@ def _certify_group(
     for g, k in work:
         idx = next((i for i, (_, num) in enumerate(closure) if _near(num, g)), None)
         if idx is not None:
-            exact.append((_lifted_like(phi, g, k, closure[idx][0], opts), k))
+            exact.append((_lifted_like(phi, g, k, closure[idx][0]), k))
         else:
-            cert = certify_element(phi, g, opts)
+            cert = certify_element(phi, g)
             if cert is None:
                 failed += 1
                 exact.append((g, k))
@@ -618,16 +594,16 @@ def _certify_group(
     return exact, failed
 
 
-def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> AutGroupReport:
-    """Compute Aut(phi) and the antiholomorphic part, classify and certify."""
-    opts = opts or SearchOptions()
-    points = phi.distinguished_points(opts.root_tol)
-    holos = holomorphic_automorphisms(phi, opts=opts, points=points)
-    antis = antiholomorphic_automorphisms(phi, opts=opts, points=points)
+def aut_group_report(phi: RationalMap, *, certify: bool = True) -> AutGroupReport:
+    """Compute Aut(phi) and the antiholomorphic part, classify, and certify
+    unless ``certify`` is False."""
+    points = phi.distinguished_points()
+    holos = holomorphic_automorphisms(phi, points=points)
+    antis = antiholomorphic_automorphisms(phi, points=points)
     elements = holos + antis
     notes: list[str] = []
     defect = closure_defect(elements)
-    if defect > 10 * opts.dedup_tol:
+    if defect > 10 * DEDUP_TOL:
         raise NotAGroupError(f"element list not closed under composition ({defect:.2e})")
     if antis and len(antis) != len(holos):
         raise NotAGroupError(
@@ -639,8 +615,8 @@ def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> Aut
     anti_pairs = list(zip(antis, orders[len(holos) :]))
     pairs = holo_pairs + anti_pairs
     certified = False
-    if opts.certify:
-        result = _certify_group(phi, holo_pairs, anti_pairs, opts)
+    if certify:
+        result = _certify_group(phi, holo_pairs, anti_pairs)
         if result is None:
             notes.append("exact closure of the certified elements does not match the search")
         else:
@@ -655,7 +631,7 @@ def aut_group_report(phi: RationalMap, opts: SearchOptions | None = None) -> Aut
         orders=[k for _, k in pairs],
         holo_kind=kind,
         holo_n=n,
-        tolerances=opts.tolerances(),
+        points=points,
         certified=certified,
         notes=notes,
     )
@@ -771,14 +747,11 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
     p_fix, q_fix = _fixed_points_exact(t)
     conj = _conjugator_to_zero_inf(p_fix, q_fix)
     work = phi.conjugate_by(conj)
+    # z P(z^n)/Q(z^n) keeps this form under 1/z, so the order of the two
+    # fixed points does not matter
     extracted = _extract_power_form(work, n)
     if extracted is None:
-        # wrong fixed-point orientation should not happen; try the swap
-        conj = _conjugator_to_zero_inf(q_fix, p_fix)
-        work = phi.conjugate_by(conj)
-        extracted = _extract_power_form(work, n)
-        if extracted is None:
-            raise NotAnAutomorphismError("map is not rotation-symmetric of this order")
+        raise NotAnAutomorphismError("map is not rotation-symmetric of this order")
     p, q = extracted
     psi = RationalMap.reduce(p, q)
     r = psi.degree

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from .autgrp import (
     AutGroupReport,
     CanonicalCyclicForm,
-    SearchOptions,
     aut_group_report,
     canonicalize_cyclic,
 )
@@ -315,12 +314,12 @@ class Classification:
         return self.report.holo_label()
 
 
-def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classification:
-    """Compute the symmetry group and decide real / pseudo-real status."""
+def classify_map(phi: RationalMap, *, certify: bool = True) -> Classification:
+    """Compute the symmetry group and decide real / pseudo-real status;
+    ``certify=False`` skips exact certification of the group."""
     if phi.degree < 2:
         raise BadDegreeError("classification needs degree >= 2")
-    opts = opts or SearchOptions()
-    report = aut_group_report(phi, opts)
+    report = aut_group_report(phi, certify=certify)
     notes = list(report.notes)
     antis = report.antiholo_elements
 
@@ -394,7 +393,7 @@ def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classif
             raise ConsistencyViolationError(
                 f"pseudo-real verdict with {report.holo_kind} symmetry group"
             )
-        if phi.is_polynomial_like():
+        if phi.is_polynomial_like(report.points):
             raise ConsistencyViolationError(
                 "pseudo-real verdict on a polynomial-like map"
             )
@@ -420,10 +419,10 @@ def classify_map(phi: RationalMap, opts: SearchOptions | None = None) -> Classif
     )
 
 
-def is_conjugate_to_conjugate(phi: RationalMap, opts: SearchOptions | None = None) -> bool:
+def is_conjugate_to_conjugate(phi: RationalMap) -> bool:
     """True iff phi is Moebius-conjugate to the coefficient-conjugated map.
 
     T o phi o T^(-1) = phi-bar holds for some Moebius T iff J o T is an
     antiholomorphic symmetry of phi, so this is exactly the existence of
     an antiholomorphic element in the computed group."""
-    return classify_map(phi, opts).verdict != NO_ANTIHOLOMORPHIC
+    return classify_map(phi).verdict != NO_ANTIHOLOMORPHIC

@@ -25,7 +25,7 @@ import json
 import re
 import sys
 
-from .autgrp import SearchOptions, verify_automorphism_exact
+from .autgrp import TOLERANCES, verify_automorphism_exact
 from .classify import Classification, classify_map
 from .cyclotomic import CycloNum
 from .errors import (
@@ -296,13 +296,7 @@ def _element_json(g: ExtendedMoebius, order: int) -> dict:
     }
 
 
-def _tolerances_json(opts: SearchOptions) -> dict:
-    return {key: _fmt_float(val) for key, val in sorted(opts.tolerances().items())}
-
-
-def _classification_json(
-    result: Classification, expr: str, opts: SearchOptions
-) -> dict:
+def _classification_json(result: Classification, expr: str) -> dict:
     holos = result.report.with_orders(antiholo=False)
     antis = result.report.with_orders(antiholo=True)
     generators = [(g, k) for g, k in holos if k > 1]
@@ -313,7 +307,7 @@ def _classification_json(
         "input": expr,
         "degree": result.degree,
         "mode": result.mode,
-        "tolerances": _tolerances_json(opts),
+        "tolerances": {key: _fmt_float(val) for key, val in sorted(TOLERANCES.items())},
         "aut": {
             "holo_type": result.holo_label(),
             "order": len(holos),
@@ -375,17 +369,6 @@ def _human_summary(report: dict, stream) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 
-def _make_options(args) -> SearchOptions:
-    opts = SearchOptions()
-    if getattr(args, "tol", None) is not None:
-        opts.match_tol = float(args.tol)
-        opts.dedup_tol = 10 * opts.match_tol
-        opts.probe_tol = max(opts.probe_tol, opts.match_tol)
-    mode = getattr(args, "mode", "exact")
-    opts.certify = mode == "exact" or bool(getattr(args, "certify", False))
-    return opts
-
-
 def _read_map(args) -> tuple[RationalMap, str]:
     if getattr(args, "coeff_file", None):
         with open(args.coeff_file, "r", encoding="utf-8") as fh:
@@ -401,20 +384,20 @@ def _read_map(args) -> tuple[RationalMap, str]:
 
 
 def _cmd_analyze(args, out, err) -> int:
-    opts = _make_options(args)
+    certify = args.mode == "exact"
     if args.batch:
         with open(args.batch, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         reports = []
         for line in lines:
             phi = parse_map_expr(line)
-            result = classify_map(phi, opts)
-            reports.append(_classification_json(result, line, opts))
+            result = classify_map(phi, certify=certify)
+            reports.append(_classification_json(result, line))
         _print_json(reports, out)
         return EXIT_OK
     phi, echo = _read_map(args)
-    result = classify_map(phi, opts)
-    report = _classification_json(result, echo, opts)
+    result = classify_map(phi, certify=certify)
+    report = _classification_json(result, echo)
     if args.json:
         _print_json(report, out)
     else:
@@ -439,9 +422,8 @@ def _cmd_generate(args, out, err) -> int:
 
 
 def _cmd_quotient(args, out, err) -> int:
-    opts = _make_options(args)
     phi, echo = _read_map(args)
-    result = classify_map(phi, opts)
+    result = classify_map(phi)
     if result.holo_kind != "Cyclic":
         err.write(
             f"error: quotient needs a cyclic symmetry group, found {result.holo_label()}\n"
@@ -622,10 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--batch", help="file with one expression per line")
     analyze.add_argument("--json", action="store_true", help="JSON report")
     analyze.add_argument("--mode", choices=("exact", "numeric"), default="exact")
-    analyze.add_argument("--tol", type=float, help="coefficient matching tolerance")
-    analyze.add_argument(
-        "--certify", action="store_true", help="exact certification in numeric mode"
-    )
 
     gen = sub.add_parser("generate", help="emit a built-in family member")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -650,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     quot.add_argument("--map", help="map expression (default: read stdin)")
     quot.add_argument("--coeff-file")
     quot.add_argument("--json", action="store_true")
-    quot.add_argument("--tol", type=float)
 
     mod = sub.add_parser("moduli", help="dimension and component tables")
     mod.add_argument("--degree", type=int, required=True)

@@ -466,41 +466,43 @@ def common_order(*orders: int) -> int:
 
 # joint lifts try at most this many candidate combinations per field
 _MAX_COMBOS = 16
+# recognized rationals have denominators up to DENOM_BOUND and lie within
+# RECOGNIZE_TOL, relative to max(1, |value|), of the float
+DENOM_BOUND = 10**6
+RECOGNIZE_TOL = 1e-7
 
 
-def recognize_cyclo_candidates(
-    value: complex, order: int, denom_bound: int = 10**6, tol: float = 1e-7
-) -> list[CycloNum]:
+def recognize_cyclo_candidates(value: complex, order: int) -> list[CycloNum]:
     """Candidate lifts of a float into Q(zeta_order), most structured first:
     0, a rational, q * zeta^j, then a Gaussian rational.
 
-    Every candidate e satisfies |value - e| <= tol * max(1, |value|), but is
-    only an embedding-close guess; use it through :func:`lift`."""
+    Every candidate e satisfies |value - e| <= RECOGNIZE_TOL * max(1, |value|),
+    but is only an embedding-close guess; use it through :func:`lift`."""
     out: list[CycloNum] = []
     scale = max(1.0, abs(value))
-    if abs(value) <= tol:
+    if abs(value) <= RECOGNIZE_TOL:
         return [CycloNum.zero(order)]
-    if abs(value.imag) <= tol * scale:
-        q = Fraction(value.real).limit_denominator(denom_bound)
-        if abs(value - complex(q)) <= tol * scale:
+    if abs(value.imag) <= RECOGNIZE_TOL * scale:
+        q = Fraction(value.real).limit_denominator(DENOM_BOUND)
+        if abs(value - complex(q)) <= RECOGNIZE_TOL * scale:
             out.append(CycloNum.from_rational(q, order))
     for j in range(1, order):
         w = value * complex(
             math.cos(2 * math.pi * j / order), -math.sin(2 * math.pi * j / order)
         )
-        if abs(w.imag) <= tol * scale:
-            q = Fraction(w.real).limit_denominator(denom_bound)
-            if q != 0 and abs(w - complex(q)) <= tol * scale:
+        if abs(w.imag) <= RECOGNIZE_TOL * scale:
+            q = Fraction(w.real).limit_denominator(DENOM_BOUND)
+            if q != 0 and abs(w - complex(q)) <= RECOGNIZE_TOL * scale:
                 out.append(CycloNum.zeta(order, j) * CycloNum.from_rational(q, order))
-    if order % 4 == 0 and abs(value.imag) > tol * scale:
-        qr = Fraction(value.real).limit_denominator(denom_bound)
-        qi = Fraction(value.imag).limit_denominator(denom_bound)
-        if abs(value - complex(float(qr), float(qi))) <= tol * scale:
+    if order % 4 == 0 and abs(value.imag) > RECOGNIZE_TOL * scale:
+        qr = Fraction(value.real).limit_denominator(DENOM_BOUND)
+        qi = Fraction(value.imag).limit_denominator(DENOM_BOUND)
+        if abs(value - complex(float(qr), float(qi))) <= RECOGNIZE_TOL * scale:
             out.append(CycloNum.gaussian(qr, qi).rebase(order))
     return out
 
 
-def lift(values, fields, check, denom_bound: int = 10**6):
+def lift(values, fields, check):
     """The first exact lift of ``values`` that ``check`` accepts, or None.
 
     ``values`` is one complex number, or a tuple of them lifted jointly
@@ -516,7 +518,7 @@ def lift(values, fields, check, denom_bound: int = 10**6):
     joint = isinstance(values, tuple)
     entries = values if joint else (values,)
     for m in dict.fromkeys(fields):
-        options = [recognize_cyclo_candidates(v, m, denom_bound) for v in entries]
+        options = [recognize_cyclo_candidates(v, m) for v in entries]
         for combo in itertools.islice(itertools.product(*options), _MAX_COMBOS):
             cand = combo if joint else combo[0]
             if check(cand):

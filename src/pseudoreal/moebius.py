@@ -56,12 +56,6 @@ class ExtendedMoebius:
     def exact(self) -> bool:
         return _is_exact(self.a)
 
-    def matrix(self):
-        return ((self.a, self.b), (self.c, self.d))
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
     def entry_conj(self, value):
         return value.conj() if self.exact else value.conjugate()
 
@@ -133,9 +127,6 @@ class ExtendedMoebius:
         if self.exact:
             return INF if den.is_zero() else num / den
         return INF if den == 0 else num / den
-
-    def __call__(self, point):
-        return self.apply(point)
 
     def is_identity(self, tol: float = 1e-9) -> bool:
         if self.antiholo:

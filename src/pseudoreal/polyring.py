@@ -20,6 +20,9 @@ import math
 from .cyclotomic import CycloNum, common_order
 from .errors import BothZeroError, ConvergenceFailureError
 
+# relative residual a numeric root must reach, see roots_numeric
+ROOT_TOL = 1e-12
+
 
 class Poly:
     """Polynomial over Q(zeta_m), ascending coefficients."""
@@ -416,13 +419,14 @@ def _aberth(coeffs: list[complex], max_iter: int = 400) -> list[complex]:
     return roots
 
 
-def roots_numeric(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
+def roots_numeric(p: Poly) -> list[tuple[complex, int]]:
     """Roots of p with multiplicities, as (approximate root, multiplicity).
 
     The exact squarefree decomposition is computed first and the Aberth
     iteration runs on each (simple-rooted) factor, so clustered output
     stays accurate even at high multiplicity.  Raises ConvergenceFailure
-    if any root is not finite or any residual exceeds tol * (1 + max |coeff|).
+    if any root is not finite or any residual exceeds
+    ROOT_TOL * (1 + sum_k |c_k| |root|^k).
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -457,7 +461,7 @@ def roots_numeric(p: Poly, tol: float = 1e-12) -> list[tuple[complex, int]]:
         for a in abs_coeffs:
             cond += a * power
             power *= abs(root)
-        if res > tol * (1.0 + cond):
+        if res > ROOT_TOL * (1.0 + cond):
             bad.append((root, res))
     if bad:
         raise ConvergenceFailureError(

@@ -74,20 +74,6 @@ class RationalMap:
             return INF
         return num / den
 
-    def evaluate_numeric(self, z):
-        if is_inf(z):
-            dp, dq = self.numer.degree, self.denom.degree
-            if dp > dq:
-                return INF
-            if dp < dq:
-                return 0j
-            return self.numer.lead().to_complex() / self.denom.lead().to_complex()
-        num = self.numer.evaluate_complex(z)
-        den = self.denom.evaluate_complex(z)
-        if den == 0:
-            return INF
-        return num / den
-
     def orbit(self, z, length: int) -> list:
         out = [z]
         for _ in range(length):
@@ -99,13 +85,6 @@ class RationalMap:
     def conj_map(self) -> "RationalMap":
         """phi-bar: the map with conjugated coefficients."""
         return RationalMap(self.numer.conj(), self.denom.conj(), _reduced=True)
-
-    def compose(self, other: "RationalMap") -> "RationalMap":
-        """self o other as a rational map."""
-        d = max(self.numer.degree, self.denom.degree)
-        num = _homogeneous_substitute(self.numer, other.numer, other.denom, d)
-        den = _homogeneous_substitute(self.denom, other.numer, other.denom, d)
-        return RationalMap.reduce(num, den)
 
     def conjugate_by(self, g: ExtendedMoebius) -> "RationalMap":
         """g o self o g^(-1), exact; a group action on maps."""
@@ -163,79 +142,50 @@ class RationalMap:
         target = 2 * self.degree - 2
         return target - crit_poly.degree if crit_poly.degree < target else 0
 
-    def distinguished_points(self, tol: float = 1e-12) -> list["LabeledPoint"]:
+    def distinguished_points(self) -> list["LabeledPoint"]:
         """Numeric Fix u Crit with (fixed, critical) multiplicity labels.
 
-        Extended with critical values if fewer than three points remain,
-        which does not happen for genuine degree >= 2 maps.
-        """
+        For degree >= 2 the set has at least three points: Crit has at
+        least two, and a critical fixed point is a simple fixed point."""
         if self.degree < 2:
             raise BadDegreeError("distinguished set needs degree >= 2")
-        merged: list[list] = []  # [point, fixed_mult, crit_mult, extended]
+        merged: list[list] = []  # [point, fixed_mult, crit_mult]
 
-        def add(point, fixed_mult=0, crit_mult=0, extended=False):
+        def add(point, fixed_mult=0, crit_mult=0):
             for entry in merged:
                 if chordal(entry[0], point) <= 1e-8:
                     entry[1] += fixed_mult
                     entry[2] += crit_mult
-                    entry[3] = entry[3] and extended
                     return
-            merged.append([point, fixed_mult, crit_mult, extended])
+            merged.append([point, fixed_mult, crit_mult])
 
         fixed_poly = self.fixed_point_polynomial()
         if fixed_poly.degree >= 1:
-            for root, mult in roots_numeric(fixed_poly, tol):
+            for root, mult in roots_numeric(fixed_poly):
                 add(root, fixed_mult=mult)
         inf_fix = self._infinity_fixed_multiplicity(fixed_poly)
         if inf_fix:
             add(INF, fixed_mult=inf_fix)
         crit_poly = self.critical_polynomial()
         if crit_poly.degree >= 1:
-            for root, mult in roots_numeric(crit_poly, tol):
+            for root, mult in roots_numeric(crit_poly):
                 add(root, crit_mult=mult)
         inf_crit = self._infinity_critical_multiplicity(crit_poly)
         if inf_crit:
             add(INF, crit_mult=inf_crit)
         if len(merged) < 3:
-            crit_points = [e[0] for e in merged if e[2] > 0]
-            for c in crit_points:
-                add(self.evaluate_numeric(c), extended=True)
-        if len(merged) < 3:
-            raise DegenerateSetError(
-                f"distinguished set has only {len(merged)} points after extension"
-            )
-        return [LabeledPoint(e[0], e[1], e[2], e[3]) for e in merged]
+            raise DegenerateSetError(f"distinguished set has only {len(merged)} points")
+        return [LabeledPoint(*e) for e in merged]
 
-    def is_polynomial_like(self) -> bool:
+    def is_polynomial_like(self, points: list["LabeledPoint"] | None = None) -> bool:
         """True iff some fixed point is totally invariant, i.e. the map is
-        Moebius-conjugate to a polynomial."""
-        if self.degree < 2:
-            raise BadDegreeError("polynomial test needs degree >= 2")
-        if self.denom.degree <= 0:
-            return True  # infinity is totally invariant
-        d = self.degree
-        fixed_poly = self.fixed_point_polynomial()
-        if fixed_poly.degree < 1:
-            return False  # every fixed point is at infinity, which is not totally invariant here
-        p = self.numer.to_complex_coeffs(d + 1)
-        q = self.denom.to_complex_coeffs(d + 1)
-        for root, _ in roots_numeric(fixed_poly):
-            # totally invariant at w  <=>  P - wQ is proportional to (z-w)^d
-            shifted = [pc - root * qc for pc, qc in zip(p, q)]
-            target = [1.0 + 0j]
-            for _ in range(d):
-                target = [0j] + target
-                for k in range(len(target) - 1):
-                    target[k] += -root * target[k + 1]
-            scale = shifted[-1]
-            if abs(scale) < 1e-9 * max(abs(x) for x in shifted):
-                continue
-            diff = max(
-                abs(s - scale * t) for s, t in zip(shifted, target)
-            )
-            if diff <= 1e-6 * max(1.0, abs(scale)) * max(abs(x) for x in target):
-                return True
-        return False
+        Moebius-conjugate to a polynomial: a fixed point is totally
+        invariant iff its critical multiplicity is d - 1.
+
+        ``points`` is the map's distinguished set when the caller already
+        has it."""
+        points = self.distinguished_points() if points is None else points
+        return any(p.fixed_mult > 0 and p.crit_mult == self.degree - 1 for p in points)
 
     # -- serialization -----------------------------------------------------------
 
@@ -255,15 +205,22 @@ class RationalMap:
         }
 
     @classmethod
-    def from_coeff_json(cls, data: dict) -> "RationalMap":
-        m = int(data["field_order"])
-
-        def decode(rows):
-            return Poly(
-                [CycloNum(m, [Fraction(s) for s in row]) for row in rows], m
+    def from_coeff_json(cls, data) -> "RationalMap":
+        """The map of a ``to_coeff_json`` object; ValueError for data of
+        another shape."""
+        if not isinstance(data, dict):
+            raise ValueError("coefficient data must be a JSON object")
+        try:
+            m = int(data["field_order"])
+            numer, denom = (
+                Poly([CycloNum(m, [Fraction(s) for s in row]) for row in data[key]], m)
+                for key in ("numer", "denom")
             )
-
-        return cls.reduce(decode(data["numer"]), decode(data["denom"]))
+        except KeyError as exc:
+            raise ValueError(f"coefficient data lacks {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed coefficient data: {exc}") from None
+        return cls.reduce(numer, denom)
 
     def to_expr(self) -> str:
         num = _poly_expr(self.numer)
@@ -283,15 +240,10 @@ class LabeledPoint:
     point: object  # complex or INF
     fixed_mult: int
     crit_mult: int
-    extended: bool = False
 
     @property
     def label(self) -> tuple:
-        return (self.fixed_mult, self.crit_mult, self.extended)
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.fixed_mult > 0
+        return (self.fixed_mult, self.crit_mult)
 
     @property
     def is_critical(self) -> bool:

@@ -14,7 +14,6 @@ from pseudoreal import (
     ExtendedMoebius,
     Poly,
     RationalMap,
-    SearchOptions,
     antipodal_witness,
     aut_group_report,
     canonicalize_cyclic,
@@ -186,7 +185,6 @@ def test_criterion_05_degree3_nonexistence_statistics():
     # kept faithful to the stated criterion and documents the finding when
     # the sampler hits the locus.
     rng = random.Random(505)
-    opts = SearchOptions(certify=False)
     case_tags = {(2, 1): "a", (2, 2): "c", (3, 1): "b", (4, 1): "c"}
     violations = []
     for (n, r), case in case_tags.items():
@@ -199,7 +197,7 @@ def test_criterion_05_degree3_nonexistence_statistics():
             if phi.degree != 3:
                 continue
             samples += 1
-            verdict = classify_map(phi, opts).verdict
+            verdict = classify_map(phi, certify=False).verdict
             if verdict == PSEUDO_REAL:
                 violations.append(
                     f"pseudo-real sample at (n, r) = ({n}, {r}): {phi.to_expr()}"
@@ -239,7 +237,6 @@ def test_criterion_06_parity_obstruction():
 
 def test_criterion_07_pseudo_real_maps_have_small_symmetry_groups():
     rng = random.Random(707)
-    opts = SearchOptions(certify=False)
     corpus = []
     for d in (3, 5, 7, 9, 11, 13):
         corpus.append((f"silverman({d})", silverman(d)))
@@ -256,7 +253,7 @@ def test_criterion_07_pseudo_real_maps_have_small_symmetry_groups():
             corpus.append((f"family(n={n})#{draws}", phi))
     pseudo_count = 0
     for name, phi in corpus:
-        result = classify_map(phi, opts)
+        result = classify_map(phi, certify=False)
         if result.verdict == PSEUDO_REAL:
             pseudo_count += 1
             assert result.holo_kind in ("Trivial", "Cyclic"), (
@@ -353,7 +350,7 @@ def test_criterion_11_disconnectedness_witness():
     orders = [g.order(40) for g in result.report.antiholo_elements]
     assert max(orders) == 16
 
-    s17 = classify_map(silverman(17), SearchOptions(certify=False))
+    s17 = classify_map(silverman(17), certify=False)
     assert s17.verdict == PSEUDO_REAL
     assert s17.imaginary_witness is not None
     assert s17.imaginary_witness.order(10) == 2

@@ -8,7 +8,6 @@ from pseudoreal import (
     ExtendedMoebius,
     Poly,
     RationalMap,
-    SearchOptions,
     aut_group_report,
     canonicalize_cyclic,
     classify_group_type,
@@ -72,7 +71,7 @@ def test_random_dense_map_is_asymmetric():
 
 def test_group_closure_and_coset_size():
     for phi in (RationalMap.reduce(z() ** 3, one()), silverman(3), sample_degree13()):
-        rep = aut_group_report(phi, SearchOptions(certify=False))
+        rep = aut_group_report(phi, certify=False)
         assert closure_defect(rep.elements) < 1e-6
         antis = rep.antiholo_elements
         assert len(antis) in (0, len(rep.holo_elements))
@@ -198,12 +197,13 @@ def test_solve_normalizer_orbit():
     assert solve_normalizer_orbit(psi1, psi2) is None
 
 
-def test_search_cap():
+def test_search_cap(monkeypatch):
     from pseudoreal.errors import SearchBoundExceededError
 
     cube = RationalMap.reduce(z() ** 3, one())
+    monkeypatch.setattr(autgrp, "SEARCH_CAP", 2)
     with pytest.raises(SearchBoundExceededError):
-        aut_group_report(cube, SearchOptions(search_cap=2))
+        aut_group_report(cube)
 
 
 def test_search_after_scrambling_conjugation():

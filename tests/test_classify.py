@@ -7,7 +7,6 @@ from pseudoreal import (
     ExtendedMoebius,
     Poly,
     RationalMap,
-    SearchOptions,
     antipodal_witness,
     classify_map,
     is_conjugate_to_conjugate,
@@ -181,10 +180,9 @@ def test_degree3_counterexample_group_is_stable_under_conjugation():
 
     phi = sample_degree3_order4()
     rng = random.Random(606)
-    opts = SearchOptions(certify=False)
     for _ in range(8):
         moved = phi.conjugate_by(random_moebius(rng))
-        result = classify_map(moved, opts)
+        result = classify_map(moved, certify=False)
         assert result.verdict == PSEUDO_REAL
         assert (result.holo_kind, result.holo_n) == ("Cyclic", 2)
         assert len(result.report.elements) == 4
@@ -268,11 +266,10 @@ def test_is_conjugate_to_conjugate():
 
 def test_verdict_invariant_under_conjugation():
     rng = random.Random(44)
-    opts = SearchOptions(certify=False)
     # 50 random conjugators on the antipodal-family map
     for _ in range(50):
         moved = silverman(3).conjugate_by(random_moebius(rng))
-        assert classify_map(moved, opts).verdict == PSEUDO_REAL
+        assert classify_map(moved, certify=False).verdict == PSEUDO_REAL
     others = [
         (RationalMap.reduce(z() ** 3, one()), REAL),
         (RationalMap.reduce(z() ** 2 + Poly.constant(CycloNum.i()), one()), NO_ANTIHOLOMORPHIC),
@@ -280,13 +277,13 @@ def test_verdict_invariant_under_conjugation():
     for phi, expected in others:
         for _ in range(10):
             moved = phi.conjugate_by(random_moebius(rng))
-            assert classify_map(moved, opts).verdict == expected
+            assert classify_map(moved, certify=False).verdict == expected
 
 
 def test_no_antiholomorphic_on_random_dense_maps():
     rng = random.Random(50)
     for _ in range(5):
         phi = random_map(rng, 4)
-        c = classify_map(phi, SearchOptions(certify=False))
+        c = classify_map(phi, certify=False)
         assert c.verdict in (NO_ANTIHOLOMORPHIC, REAL)
         assert c.holo_kind == "Trivial"

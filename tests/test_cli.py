@@ -215,6 +215,22 @@ def test_analyze_coeff_file(tmp_path):
     assert report["classification"]["verdict"] == "pseudo_real"
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"numer": [["1"], ["0"], ["1"]], "denom": [["1"]]},
+        {"field_order": 1, "numer": 5, "denom": [["1"]]},
+        [1, [["1"]], [["1"]]],
+    ],
+    ids=["no-field-order", "numer-not-a-list", "top-level-array"],
+)
+def test_analyze_malformed_coeff_file_is_an_input_error(tmp_path, data):
+    coeffs = tmp_path / "map.json"
+    coeffs.write_text(json.dumps(data))
+    code, out, err = run_cli("analyze", "--coeff-file", str(coeffs), "--json")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_batch_mode(tmp_path):
     batch = tmp_path / "maps.txt"
     batch.write_text("z^3\ni*((z-1)/(z+1))^3\n")

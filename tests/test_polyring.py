@@ -14,7 +14,7 @@ from pseudoreal import (
     squarefree_decomposition,
 )
 from pseudoreal.errors import BothZeroError, ConvergenceFailureError
-from pseudoreal.polyring import divides_exactly
+from pseudoreal.polyring import ROOT_TOL, divides_exactly
 
 from conftest import gauss, random_poly
 
@@ -193,9 +193,8 @@ def test_residual_bound_on_unit_scale_roots():
     rng = random.Random(37)
     for _ in range(10):
         p = random_poly(rng, 5)
-        tol = 1e-12
-        bound = tol * (1 + max(abs(c.to_complex()) for c in p.coeffs))
-        for root, _ in roots_numeric(p, tol):
+        bound = ROOT_TOL * (1 + max(abs(c.to_complex()) for c in p.coeffs))
+        for root, _ in roots_numeric(p):
             if abs(root) <= 1.5:
                 assert abs(p.evaluate_complex(root)) <= 10 * bound
 

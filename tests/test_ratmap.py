@@ -106,8 +106,8 @@ def test_distinguished_points_cube():
     for p in pts:
         by_label.setdefault(p.label, []).append(p.point)
     # 0 and infinity are fixed and critical (multiplicity 2); 1 and -1 fixed only
-    assert sorted(str(x) for x in by_label[(1, 2, False)]) == ["0j", "INF"]
-    fixed_only = by_label[(1, 0, False)]
+    assert sorted(str(x) for x in by_label[(1, 2)]) == ["0j", "INF"]
+    fixed_only = by_label[(1, 0)]
     assert sorted(round(p.real) for p in fixed_only) == [-1, 1]
 
 
