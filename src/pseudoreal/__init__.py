@@ -21,9 +21,8 @@ from .classify import (
     classify_map,
     is_conjugate_to_conjugate,
     rotation_form_check,
-    solve_scalar_identity,
 )
-from .cyclotomic import CycloNum, conj, field_arith, is_unimodular, rebase, root_of_unity
+from .cyclotomic import CycloNum, solve_scalar_identity
 from .families import (
     cyclic_pseudo_real_family,
     quotient_map,
@@ -74,23 +73,18 @@ __all__ = [
     "certify_element",
     "classify_group_type",
     "classify_map",
-    "conj",
     "cross_ratio",
     "cyclic_locus_dimension",
     "cyclic_pseudo_real_family",
-    "field_arith",
     "holomorphic_automorphisms",
     "is_conjugate_to_conjugate",
-    "is_unimodular",
     "locus_dimensions",
     "named_generator",
     "normalizer_action",
     "poly_gcd",
     "pseudo_real_component_census",
     "quotient_map",
-    "rebase",
     "resultant",
-    "root_of_unity",
     "roots_numeric",
     "rotation_form_check",
     "sample_degree13",

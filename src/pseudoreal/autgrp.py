@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclotomic import CycloNum, common_order, fold_power_relations, lift
+from .cyclotomic import CycloNum, common_order, fold_power_relations, lift, solve_scalar_identity
 from .errors import (
     NotAGroupError,
     NotAnAutomorphismError,
@@ -94,10 +94,6 @@ class AutGroupReport:
     @property
     def antiholo_elements(self) -> list[ExtendedMoebius]:
         return [g for g in self.elements if g.antiholo]
-
-    @property
-    def holo_order(self) -> int:
-        return len(self.holo_elements)
 
     def holo_label(self) -> str:
         if self.holo_kind in ("Cyclic", "Dihedral"):
@@ -318,12 +314,6 @@ def closure_defect(elements: list[ExtendedMoebius]) -> float:
     return worst
 
 
-def _proportional(lhs: list, rhs: list) -> bool:
-    """lhs = lam * rhs for one scalar lam; rhs must not be all zero."""
-    j = next(k for k, r in enumerate(rhs) if not r.is_zero())
-    return all(x * rhs[j] == lhs[j] * y for x, y in zip(lhs, rhs))
-
-
 def _form_value(p: Poly, x: CycloNum, y: CycloNum, formal_degree: int) -> CycloNum:
     """sum_k p_k x^k y^(D-k), the degree-D form of p at (x, y)."""
     coeffs = p.padded(formal_degree + 1)
@@ -362,7 +352,7 @@ def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
         pk, qk = twisted(p.coeff(k)), twisted(q.coeff(k))
         ends_lhs += [a * pk + b * qk, c * pk + d * qk]
         ends_rhs += [_form_value(p, x, y, deg), _form_value(q, x, y, deg)]
-    if not _proportional(ends_lhs, ends_rhs):
+    if not solve_scalar_identity(ends_lhs, ends_rhs, unimodular_only=False):
         return False
     ps, qs = (p.conj(), q.conj()) if g.antiholo else (p, q)
     u, v = Poly([b, a]), Poly([d, c])
@@ -370,7 +360,7 @@ def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
     for (s, t), form in (((a, b), p), ((c, d), q)):
         lhs += (ps.scale(s) + qs.scale(t)).padded(deg + 1)
         rhs += _homogeneous_substitute(form, u, v, deg).padded(deg + 1)
-    return _proportional(lhs, rhs)
+    return bool(solve_scalar_identity(lhs, rhs, unimodular_only=False))
 
 
 # -- exact lifting ------------------------------------------------------------
@@ -389,15 +379,17 @@ def _numeric_fixed_points(g: ExtendedMoebius):
     return ((a - d) + s) / (2 * c), ((a - d) - s) / (2 * c)
 
 
-def _lift_holo_via_fixed_points(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | None:
-    """An elliptic holomorphic element rebuilt from its fixed-point pair and
-    rotation multiplier, verified to commute with phi, or None.
+def _lift_holo_via_fixed_points(
+    phi: RationalMap, g: ExtendedMoebius, k: int | None
+) -> ExtendedMoebius | None:
+    """An elliptic holomorphic element of numeric order k rebuilt from its
+    fixed-point pair and rotation multiplier, verified to commute with phi,
+    or None.
 
     A finite-order element is conjugate to z -> zeta z; its matrix entries
     may be arbitrary field elements, but the fixed points are often simple
     (images of 0 and infinity under the scrambling map) and the multiplier
     is exactly a root of unity, so lifting those suffices."""
-    k = g.order(2 * (phi.degree + 1), tol=1e-6)
     if k is None or k < 2:
         return None
     p_num, q_num = _numeric_fixed_points(g)
@@ -478,7 +470,7 @@ def certify_element(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | N
     if lifted is not None:
         return ExtendedMoebius(*lifted, antiholo=g.antiholo)
     if not g.antiholo and not g.is_identity(1e-9):
-        return _lift_holo_via_fixed_points(phi, g)
+        return _lift_holo_via_fixed_points(phi, g, k)
     return None
 
 
@@ -503,11 +495,6 @@ def _sort_elements(pairs: list[tuple[ExtendedMoebius, int]]):
 def _same_element(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
     """Equality of two exact elements in normalized form."""
     return g.antiholo == h.antiholo and (g.a, g.b, g.c, g.d) == (h.a, h.b, h.c, h.d)
-
-
-def _near(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
-    """Same orientation and within 1e-6 projectively."""
-    return g.antiholo == h.antiholo and proj_distance(g, h) <= 1e-6
 
 
 def _close_under(closure: list, gens: list, cap: int) -> bool:
@@ -570,7 +557,9 @@ def _certify_group(
     exact: list[tuple[ExtendedMoebius, int]] = []
     failed = 0
     for g, k in work:
-        idx = next((i for i, (_, num) in enumerate(closure) if _near(num, g)), None)
+        idx = next(
+            (i for i, (_, num) in enumerate(closure) if num.projectively_equal(g, 1e-6)), None
+        )
         if idx is not None:
             exact.append((_lifted_like(phi, g, k, closure[idx][0]), k))
         else:
@@ -583,7 +572,10 @@ def _certify_group(
             n_old = len(closure)
             if not _close_under(closure, gens, len(numeric)):
                 return None
-            if not all(any(_near(num, h) for h in numeric) for _, num in closure[n_old:]):
+            if not all(
+                any(num.projectively_equal(h, 1e-6) for h in numeric)
+                for _, num in closure[n_old:]
+            ):
                 return None
             norm = cert.normalized()
             idx = next(i for i, (e, _) in enumerate(closure) if _same_element(norm, e))

@@ -29,7 +29,7 @@ from .autgrp import (
     aut_group_report,
     canonicalize_cyclic,
 )
-from .cyclotomic import CycloNum, common_order, fold_power_relations, lift
+from .cyclotomic import CycloNum, common_order, fold_power_relations, lift, solve_scalar_identity
 from .errors import (
     BadDegreeError,
     ConsistencyViolationError,
@@ -70,45 +70,8 @@ def antipodal_witness(phi: RationalMap) -> CycloNum | None:
         return None
     a = phi.numer.padded(d + 1)
     b = phi.denom.padded(d + 1)
-    c = None
-    for k in range(d + 1):
-        ref = a[d - k].conj()
-        if not ref.is_zero():
-            cand = b[k] / ref
-            if k % 2 == 1:
-                cand = -cand
-            c = cand
-            break
-    if c is None or c.is_zero():
-        return None
-    if b != antipodal_denominator(c, a):
-        return None
-    if not c.is_unimodular():
-        return None
-    return c
-
-
-def solve_scalar_identity(lhs, rhs, unimodular_only: bool = True) -> list[CycloNum]:
-    """All scalars c with lhs_k = c * rhs_k for every k.
-
-    At most one solution exists when some rhs_k is nonzero; an
-    inconsistent system yields the empty list."""
-    lhs = [CycloNum._coerce(v) for v in lhs]
-    rhs = [CycloNum._coerce(v) for v in rhs]
-    if len(lhs) != len(rhs):
-        raise ValueError("sequences must have equal length")
-    if all(v.is_zero() for v in rhs):
-        if all(v.is_zero() for v in lhs):
-            raise ValueError("both sequences are zero; every scalar works")
-        return []
-    j = next(k for k, v in enumerate(rhs) if not v.is_zero())
-    c = lhs[j] / rhs[j]
-    for x, y in zip(lhs, rhs):
-        if x != c * y:
-            return []
-    if unimodular_only and not c.is_unimodular():
-        return []
-    return [c]
+    found = solve_scalar_identity(b, antipodal_denominator(CycloNum.one(), a))
+    return found[0] if found else None
 
 
 # -- the rotation-normal-form criteria ----------------------------------------

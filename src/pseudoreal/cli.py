@@ -15,14 +15,18 @@ The expression grammar for maps over exact constants:
     power  := atom ('^' exponent)?          # integer exponents only
     atom   := integer | 'i' | 'z' | 'w(m,k)' | '(' expr ')'
 
-with w(m,k) the exact root of unity e^(2 pi i k / m).
+with w(m,k) the exact root of unity e^(2 pi i k / m).  The verify
+subcommand reads its matrix as
+
+    matrix := '[' '[' expr ',' expr ']' ',' '[' expr ',' expr ']' ']'
+
+with four constant entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .autgrp import TOLERANCES, verify_automorphism_exact
@@ -96,7 +100,7 @@ def _tokenize(text: str) -> list[_Token]:
                 raise MapSyntaxError(f"unknown name {name!r}", start)
             out.append(_Token("name", name, start))
             continue
-        if ch in "+-*/^(),":
+        if ch in "+-*/^(),[]":
             out.append(_Token(ch, ch, idx))
             idx += 1
             continue
@@ -183,6 +187,22 @@ class _Parser:
             raise MapSyntaxError(f"unexpected {tok.text!r}", tok.pos)
         return value
 
+    def parse_matrix(self) -> list[_Frac]:
+        """The entries of [[a,b],[c,d]], in row-major order."""
+        entries = []
+        self.expect("[")
+        for row in range(2):
+            if row:
+                self.expect(",")
+            self.expect("[")
+            entries.append(self.parse_expr())
+            self.expect(",")
+            entries.append(self.parse_expr())
+            self.expect("]")
+        self.expect("]")
+        self.expect("end")
+        return entries
+
     def parse_expr(self) -> _Frac:
         value = self.parse_term()
         while self.peek().kind in ("+", "-"):
@@ -258,7 +278,11 @@ def parse_map_expr(text: str) -> RationalMap:
 
 def parse_constant(text: str) -> CycloNum:
     """Parse a z-free expression into an exact constant."""
-    frac = _Parser(text).parse()
+    return _constant(_Parser(text).parse())
+
+
+def _constant(frac: _Frac) -> CycloNum:
+    """The value of a parsed expression that must be a finite constant."""
     if frac.num.degree > 0 or frac.den.degree > 0:
         raise NonRationalExpressionError("expected a constant expression without z")
     map_ = RationalMap.reduce(frac.num, frac.den)
@@ -534,23 +558,7 @@ def _cmd_moduli(args, out, err) -> int:
 
 def _cmd_verify(args, out, err) -> int:
     phi, echo = _read_map(args)
-    # no whitespace around brackets and commas: Python and JSON print [[0, 1], [1, 0]]
-    raw = re.sub(r"\s*([\[\],])\s*", r"\1", args.auto.strip())
-    if not (raw.startswith("[[") and raw.endswith("]]")):
-        err.write("error: matrix must look like [[a,b],[c,d]]\n")
-        return EXIT_INPUT
-    inner = raw[2:-2]
-    rows = inner.split("],[")
-    if len(rows) != 2:
-        err.write("error: matrix must have two rows\n")
-        return EXIT_INPUT
-    entries = []
-    for row in rows:
-        parts = _split_top_level(row)
-        if len(parts) != 2:
-            err.write("error: each row needs two entries\n")
-            return EXIT_INPUT
-        entries.extend(parse_constant(p) for p in parts)
+    entries = [_constant(frac) for frac in _Parser(args.auto).parse_matrix()]
     g = ExtendedMoebius(*entries, antiholo=args.antiholo)
     ok = verify_automorphism_exact(phi, g)
     payload = {
@@ -562,24 +570,6 @@ def _cmd_verify(args, out, err) -> int:
     }
     _print_json(payload, out)
     return EXIT_OK
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
 
 
 def _bool_flag(text: str) -> bool:

@@ -5,10 +5,11 @@ totient) over the power basis {zeta_m^j : 0 <= j < phi(m)}, reduced modulo
 the m-th cyclotomic polynomial.  This representation is canonical: two
 elements of the same field are equal iff their coordinate vectors are
 equal.  Complex conjugation is the field automorphism zeta -> zeta^(-1),
-so conjugation, unimodularity tests and the like are exact.
+so conjugation, unimodularity tests and the like are exact.  Mixed-field
+arithmetic rebases both operands to the lcm of their orders.
 
-Mixed-field arithmetic rebases both operands to the lcm of their orders;
-the strict single-field entry point is :func:`field_arith`.
+Every exact identity "one coefficient vector is a scalar times another"
+is decided by :func:`solve_scalar_identity`.
 
 Floats become field elements through :func:`lift` alone: a lifted value is
 only a guess until the caller's exact check accepts it.
@@ -21,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import FieldMismatchError, NotASubfieldError
+from .errors import NotASubfieldError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -414,45 +415,7 @@ def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return [x - y for x, y in zip(a, b)]
 
 
-# -- module-level operation surface ----------------------------------
-
-
-def field_arith(x: CycloNum, y: CycloNum, op: str) -> CycloNum:
-    """Strict single-field arithmetic; rejects mixed orders.
-
-    The operator overloads on CycloNum rebase automatically; this entry
-    point enforces the explicit-rebase contract instead.
-    """
-    if x.order != y.order:
-        raise FieldMismatchError(
-            f"operands live in Q(zeta_{x.order}) and Q(zeta_{y.order}); rebase first"
-        )
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def root_of_unity(m: int, k: int) -> CycloNum:
-    """zeta_m^k as an element of Q(zeta_m)."""
-    return CycloNum.zeta(m, k)
-
-
-def rebase(x: CycloNum, new_order: int) -> CycloNum:
-    return x.rebase(new_order)
-
-
-def conj(x: CycloNum) -> CycloNum:
-    return x.conj()
-
-
-def is_unimodular(x: CycloNum) -> bool:
-    return x.is_unimodular()
+# -- module-level helpers ---------------------------------------------------
 
 
 def common_order(*orders: int) -> int:
@@ -460,6 +423,30 @@ def common_order(*orders: int) -> int:
     for m in orders:
         out = math.lcm(out, m)
     return out
+
+
+def solve_scalar_identity(lhs, rhs, unimodular_only: bool = True) -> list[CycloNum]:
+    """All scalars c with lhs_k = c * rhs_k for every k.
+
+    At most one solution exists when some rhs_k is nonzero; an
+    inconsistent system yields the empty list, and so does a c that is not
+    unimodular when ``unimodular_only`` is set."""
+    lhs = [CycloNum._coerce(v) for v in lhs]
+    rhs = [CycloNum._coerce(v) for v in rhs]
+    if len(lhs) != len(rhs):
+        raise ValueError("sequences must have equal length")
+    j = next((k for k, v in enumerate(rhs) if not v.is_zero()), None)
+    if j is None:
+        if all(v.is_zero() for v in lhs):
+            raise ValueError("both sequences are zero; every scalar works")
+        return []
+    c = lhs[j] / rhs[j]
+    for x, y in zip(lhs, rhs):
+        if x != c * y:
+            return []
+    if unimodular_only and not c.is_unimodular():
+        return []
+    return [c]
 
 
 # -- from floats to field elements ----------------------------------------

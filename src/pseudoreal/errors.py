@@ -5,10 +5,6 @@ class PseudoRealError(Exception):
     """Base class for all package errors."""
 
 
-class FieldMismatchError(PseudoRealError):
-    """Two exact values live in different cyclotomic fields and no rebase was applied."""
-
-
 class NotASubfieldError(PseudoRealError):
     """Requested rebase target is not a multiple of the current field order."""
 

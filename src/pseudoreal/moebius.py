@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .cyclotomic import CycloNum, common_order
+from .cyclotomic import CycloNum, common_order, solve_scalar_identity
 from .errors import (
     DegenerateTripleError,
     NotAnInvolutionError,
@@ -157,14 +157,11 @@ class ExtendedMoebius:
         if self.antiholo != other.antiholo:
             return False
         if self.exact and other.exact:
-            # M ~ N iff all 2x2 minors of the stacked 2x4 matrix vanish
-            m = [self.a, self.b, self.c, self.d]
-            n = [other.a, other.b, other.c, other.d]
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    if not (m[i] * n[j] - m[j] * n[i]).is_zero():
-                        return False
-            return True
+            return bool(solve_scalar_identity(
+                (self.a, self.b, self.c, self.d),
+                (other.a, other.b, other.c, other.d),
+                unimodular_only=False,
+            ))
         return proj_distance(self, other) <= tol
 
     def classify_involution(self, tol: float = 1e-9) -> str:

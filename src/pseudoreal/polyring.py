@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BothZeroError, ConvergenceFailureError
@@ -231,9 +232,6 @@ class Poly:
             out += [0j] * (length - len(out))
         return out
 
-    def evaluate_complex(self, z: complex) -> complex:
-        return horner(self.to_complex_coeffs(), z)
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -261,8 +259,6 @@ def strip_rational_content(p: Poly) -> Poly:
                 den_lcm = math.lcm(den_lcm, q.denominator)
     if num_gcd == 0:
         return p
-    from fractions import Fraction
-
     return p.scale(Fraction(den_lcm, num_gcd))
 
 
@@ -281,11 +277,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         if not b.is_zero():
             b = strip_rational_content(b.monic())
     return a.monic()
-
-
-def divides_exactly(p: Poly, q: Poly) -> bool:
-    """True when p divides q with zero remainder."""
-    return (q % p).is_zero()
 
 
 def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
@@ -449,10 +440,11 @@ def roots_numeric(p: Poly) -> list[tuple[complex, int]]:
         raise ConvergenceFailureError(
             f"{len(nonfinite)} root(s) not finite", residuals=nonfinite
         )
-    abs_coeffs = [abs(c.to_complex()) for c in p.coeffs]
+    coeffs = p.to_complex_coeffs()
+    abs_coeffs = [abs(c) for c in coeffs]
     bad = []
     for root, _ in out:
-        res = abs(p.evaluate_complex(root))
+        res = abs(horner(coeffs, root))
         # backward-error scale: evaluating p at z is only conditioned to
         # sum |c_k| |z|^k, so the flat max-coefficient bound is unattainable
         # for roots far outside the unit disc

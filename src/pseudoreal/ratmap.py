@@ -43,11 +43,10 @@ class RationalMap:
             raise ZeroMapError("numerator and denominator are both zero")
         m = common_order(numer.order, denom.order)
         numer, denom = numer.rebase(m), denom.rebase(m)
-        if not numer.is_zero() and not denom.is_zero():
-            g = poly_gcd(numer, denom)
-            if g.degree > 0:
-                numer = numer // g
-                denom = denom // g
+        g = poly_gcd(numer, denom)
+        if g.degree > 0:
+            numer = numer // g
+            denom = denom // g
         pivot = denom.lead() if not denom.is_zero() else numer.lead()
         inv = pivot.inv()
         return cls(numer.scale(inv), denom.scale(inv), _reduced=True)
@@ -106,10 +105,13 @@ class RationalMap:
         return result
 
     def equals_projective(self, other: "RationalMap") -> bool:
-        """Same rational function: equal coefficients up to one scalar."""
-        if self.degree != other.degree:
-            return False
-        return self.numer * other.denom == other.numer * self.denom
+        """Same rational function.
+
+        ``reduce`` makes a map canonical: numerator and denominator coprime,
+        the denominator monic (the numerator when the denominator is zero).
+        Two maps in this form are the same function iff their numerators
+        are equal and their denominators are equal, in any common field."""
+        return self.numer == other.numer and self.denom == other.denom
 
     def __eq__(self, other):
         if not isinstance(other, RationalMap):
@@ -124,10 +126,7 @@ class RationalMap:
         """P(z) - z Q(z); its roots are the finite fixed points."""
         return self.numer - Poly.x(self.field_order) * self.denom
 
-    def infinity_fixed_multiplicity(self) -> int:
-        return self._infinity_fixed_multiplicity(self.fixed_point_polynomial())
-
-    def _infinity_fixed_multiplicity(self, fixed_poly: Poly) -> int:
+    def infinity_fixed_multiplicity(self, fixed_poly: Poly) -> int:
         """Fixed multiplicity at infinity, given the fixed-point polynomial."""
         if self.numer.degree <= self.denom.degree:
             return 0
@@ -163,7 +162,7 @@ class RationalMap:
         if fixed_poly.degree >= 1:
             for root, mult in roots_numeric(fixed_poly):
                 add(root, fixed_mult=mult)
-        inf_fix = self._infinity_fixed_multiplicity(fixed_poly)
+        inf_fix = self.infinity_fixed_multiplicity(fixed_poly)
         if inf_fix:
             add(INF, fixed_mult=inf_fix)
         crit_poly = self.critical_polynomial()
@@ -245,10 +244,6 @@ class LabeledPoint:
     def label(self) -> tuple:
         return (self.fixed_mult, self.crit_mult)
 
-    @property
-    def is_critical(self) -> bool:
-        return self.crit_mult > 0
-
 
 def _homogeneous_substitute(p: Poly, u: Poly, v: Poly, formal_degree: int) -> Poly:
     """sum_k p_k u^k v^(D-k), i.e. v^D * p(u/v) at formal degree D."""
@@ -279,7 +274,7 @@ def _poly_expr(p: Poly) -> str:
         z = "z" if k == 1 else f"z^{k}"
         if c.is_one():
             parts.append(z)
-        elif (-c).is_one() if isinstance(c, CycloNum) else False:
+        elif (-c).is_one():
             parts.append(f"-{z}")
         else:
             coeff_txt = f"({txt})" if (needs_paren or txt.startswith("-")) else txt

@@ -36,7 +36,7 @@ def one():
 def test_cube_group():
     rep = aut_group_report(RationalMap.reduce(z() ** 3, one()))
     assert rep.holo_kind == "Dihedral" and rep.holo_n == 2
-    assert rep.holo_order == 4 and len(rep.elements) == 8
+    assert len(rep.holo_elements) == 4 and len(rep.elements) == 8
     assert rep.certified
     expected = [
         ExtendedMoebius.identity(),
@@ -53,7 +53,7 @@ def test_power_map_group_order():
     # w/z, so it has order 2(d-1)
     for d in (2, 3, 4, 5):
         rep = aut_group_report(RationalMap.reduce(z() ** d, one()))
-        assert rep.holo_order == 2 * (d - 1)
+        assert len(rep.holo_elements) == 2 * (d - 1)
         if d == 2:
             assert rep.holo_kind == "Cyclic" and rep.holo_n == 2
         else:

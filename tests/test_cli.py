@@ -201,8 +201,13 @@ def test_verify_subcommand():
     )
     assert code == 0
     assert json.loads(out)["verified"] is False
-    code, _, err = run_cli("verify", "--map", "z^3", "--auto", "[1,2,3]")
-    assert code == 2
+    code, out, err = run_cli("verify", "--map", "z^3", "--auto", "[[w(8, 1), 0], [0, 1]]")
+    assert code == 0, err
+    assert json.loads(out)["matrix"] == [["w(8,1)", "0"], ["0", "1"]]
+    for bad in ("[1,2,3]", "[[1,2],[3]]", "[[1,2],[3,4]] z", "[[1,1],[1,1]]"):
+        code, _, err = run_cli("verify", "--map", "z^3", "--auto", bad)
+        assert code == 2, bad
+        assert err.startswith("error: "), bad
 
 
 def test_analyze_coeff_file(tmp_path):

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from pseudoreal import CycloNum, conj, field_arith, is_unimodular, rebase, root_of_unity
+from pseudoreal import CycloNum
 from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi, lift
-from pseudoreal.errors import FieldMismatchError, NotASubfieldError
+from pseudoreal.errors import NotASubfieldError
 
 from conftest import gauss
 
@@ -19,55 +19,49 @@ def test_difference_of_squares_in_gaussian_field():
 
 def test_sixth_roots_sum_to_one():
     # 2 cos(pi/3) = 1
-    v = root_of_unity(6, 1) + root_of_unity(6, 5)
+    v = CycloNum.zeta(6, 1) + CycloNum.zeta(6, 5)
     assert v == CycloNum.one()
     assert abs(v.to_complex() - 1.0) < 1e-14
 
 
 def test_root_of_unity_inverse():
-    assert CycloNum.one() / root_of_unity(8, 1) == root_of_unity(8, 7)
+    assert CycloNum.one() / CycloNum.zeta(8, 1) == CycloNum.zeta(8, 7)
 
 
 def test_conjugation_examples():
     i = CycloNum.i()
-    assert conj(i) == -i
-    assert conj(root_of_unity(6, 1)) == root_of_unity(6, 5)
+    assert i.conj() == -i
+    assert CycloNum.zeta(6, 1).conj() == CycloNum.zeta(6, 5)
     q = CycloNum.from_rational(Fraction(2, 3))
-    assert conj(q) == q
+    assert q.conj() == q
 
 
 def test_half_turn_and_golden_embedding():
-    assert root_of_unity(12, 6) == CycloNum.from_rational(-1)
-    v = root_of_unity(5, 1) + root_of_unity(5, 4)
+    assert CycloNum.zeta(12, 6) == CycloNum.from_rational(-1)
+    v = CycloNum.zeta(5, 1) + CycloNum.zeta(5, 4)
     assert abs(v.to_complex() - (math.sqrt(5) - 1) / 2) < 1e-12
 
 
 def test_rebase_examples():
     i = CycloNum.i()
-    assert rebase(i, 12) == root_of_unity(12, 3)
+    assert i.rebase(12) == CycloNum.zeta(12, 3)
     half = CycloNum.from_rational(Fraction(1, 2))
     for m in (1, 2, 6, 8, 20):
-        assert rebase(half, m) == half
-    assert rebase(root_of_unity(6, 1), 12) == root_of_unity(12, 2)
+        assert half.rebase(m) == half
+    assert CycloNum.zeta(6, 1).rebase(12) == CycloNum.zeta(12, 2)
     with pytest.raises(NotASubfieldError):
-        rebase(root_of_unity(8, 1), 12)
+        CycloNum.zeta(8, 1).rebase(12)
+    w6 = CycloNum.zeta(6, 1)
+    assert i * i == CycloNum.from_rational(-1)
+    # after rebasing both into the lcm field the operation goes through
+    assert i.rebase(12) * w6.rebase(12) == CycloNum.zeta(12, 5)
 
 
 def test_unimodular_examples():
     i = CycloNum.i()
-    assert is_unimodular(i)
-    assert not is_unimodular(CycloNum.one() + i)
-    assert is_unimodular(root_of_unity(12, 5))
-
-
-def test_field_arith_strict_mode():
-    i = CycloNum.i()
-    w6 = root_of_unity(6, 1)
-    assert field_arith(i, i, "mul") == CycloNum.from_rational(-1)
-    with pytest.raises(FieldMismatchError):
-        field_arith(i, w6, "add")
-    # after rebasing both into the lcm field the operation goes through
-    assert field_arith(i.rebase(12), w6.rebase(12), "mul") == root_of_unity(12, 5)
+    assert i.is_unimodular()
+    assert not (CycloNum.one() + i).is_unimodular()
+    assert CycloNum.zeta(12, 5).is_unimodular()
 
 
 def test_division_by_zero():
@@ -94,18 +88,18 @@ def test_conj_is_involutive_field_automorphism():
     rng = random.Random(77)
     for _ in range(50):
         a = gauss(rng).rebase(12)
-        b = gauss(rng).rebase(12) * root_of_unity(12, rng.randrange(12))
-        assert conj(conj(a)) == a
-        assert conj(a * b) == conj(a) * conj(b)
-        assert conj(a + b) == conj(a) + conj(b)
+        b = gauss(rng).rebase(12) * CycloNum.zeta(12, rng.randrange(12))
+        assert a.conj().conj() == a
+        assert (a * b).conj() == a.conj() * b.conj()
+        assert (a + b).conj() == a.conj() + b.conj()
 
 
 def test_roots_of_unity_power_and_modulus():
     for m in (1, 2, 3, 4, 5, 6, 8, 9, 12, 20):
         for k in range(m):
-            w = root_of_unity(m, k)
+            w = CycloNum.zeta(m, k)
             assert (w ** m).is_one()
-            assert is_unimodular(w)
+            assert w.is_unimodular()
 
 
 def test_float_embedding_is_ring_homomorphism():
@@ -134,7 +128,7 @@ def test_expression_text_round_trip():
 
     rng = random.Random(5)
     for _ in range(20):
-        v = gauss(rng) * root_of_unity(12, rng.randrange(12))
+        v = gauss(rng) * CycloNum.zeta(12, rng.randrange(12))
         assert parse_constant(v.to_expr()) == v
 
 
@@ -152,7 +146,7 @@ def test_lift_result_passes_the_check():
             exact = gauss(rng)
         else:
             q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            exact = q * root_of_unity(8, rng.randrange(8))
+            exact = q * CycloNum.zeta(8, rng.randrange(8))
         noise = complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
         noisy = exact.to_complex() + noise
 

@@ -223,6 +223,24 @@ def test_named_generator_fields_and_embeddings():
     assert abs(D.d.to_complex() - (1 + s)) < 1e-12
 
 
+def test_projectively_equal_exact_across_fields():
+    rng = random.Random(23)
+    w8 = CycloNum.zeta(8, 1)
+    for _ in range(10):
+        g = random_moebius(rng)
+        h = ExtendedMoebius(*(w8 * e for e in (g.a, g.b, g.c, g.d)))
+        assert g.a.order == 4 and h.a.order == 8
+        assert g.projectively_equal(h) and h.projectively_equal(g)
+        anti = ExtendedMoebius(h.a, h.b, h.c, h.d, antiholo=True)
+        assert not g.projectively_equal(anti)
+    zero, one = CycloNum.zero(), CycloNum.one()
+    flip = ExtendedMoebius.inversion()
+    assert flip.projectively_equal(ExtendedMoebius(zero, w8, w8, zero))
+    # not proportional: the off-diagonal entries differ by a factor 2
+    assert not flip.projectively_equal(ExtendedMoebius(zero, w8, 2 * w8, zero))
+    assert not ExtendedMoebius.identity().projectively_equal(ExtendedMoebius(one, one, zero, one))
+
+
 def test_compose_associative():
     rng = random.Random(20)
     for _ in range(15):

@@ -14,7 +14,7 @@ from pseudoreal import (
     squarefree_decomposition,
 )
 from pseudoreal.errors import BothZeroError, ConvergenceFailureError
-from pseudoreal.polyring import ROOT_TOL, divides_exactly
+from pseudoreal.polyring import ROOT_TOL, horner
 
 from conftest import gauss, random_poly
 
@@ -43,10 +43,10 @@ def test_gcd_divides_both_exactly():
         b = random_poly(rng, rng.randint(1, 4))
         c = random_poly(rng, rng.randint(0, 2))
         g = poly_gcd(a * c, b * c)
-        assert divides_exactly(g, a * c)
-        assert divides_exactly(g, b * c)
+        assert ((a * c) % g).is_zero()
+        assert ((b * c) % g).is_zero()
         if c.degree > 0:
-            assert divides_exactly(c.monic(), g) or g.degree >= c.degree
+            assert (g % c.monic()).is_zero() or g.degree >= c.degree
 
 
 def test_gcd_of_zeros_raises():
@@ -111,7 +111,7 @@ def test_resultant_product_over_roots():
         value = resultant(p, q).to_complex()
         prod = p.lead().to_complex() ** q.degree
         for root, mult in roots_numeric(p):
-            prod *= q.evaluate_complex(root) ** mult
+            prod *= horner(q.to_complex_coeffs(), root) ** mult
         assert abs(value - prod) <= 1e-6 * max(1.0, abs(value))
 
 
@@ -196,7 +196,7 @@ def test_residual_bound_on_unit_scale_roots():
         bound = ROOT_TOL * (1 + max(abs(c.to_complex()) for c in p.coeffs))
         for root, _ in roots_numeric(p):
             if abs(root) <= 1.5:
-                assert abs(p.evaluate_complex(root)) <= 10 * bound
+                assert abs(horner(p.to_complex_coeffs(), root)) <= 10 * bound
 
 
 def test_yun_decomposition_reconstructs():

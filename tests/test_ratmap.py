@@ -25,6 +25,10 @@ def test_reduce_examples():
     assert s3.degree == 3
     with pytest.raises(ZeroMapError):
         RationalMap.reduce(Poly.zero(), Poly.zero())
+    # the zero map reduces to 0/1 whatever its denominator
+    zero = RationalMap.reduce(Poly.zero(), z() + one())
+    assert zero.degree == 0 and zero.denom == one()
+    assert zero == RationalMap.reduce(Poly.zero(), one())
 
 
 def test_evaluate_silverman_orbit():
@@ -89,6 +93,11 @@ def test_conjugation_preserves_degree_and_commutes_with_evaluation():
         assert (lhs is INF and rhs is INF) or lhs == rhs
 
 
+def _cross_equal(f: RationalMap, g: RationalMap) -> bool:
+    """Reference rule: equal degree and P_f Q_g = P_g Q_f."""
+    return f.degree == g.degree and f.numer * g.denom == g.numer * f.denom
+
+
 def test_equals_projective():
     two = Poly.constant(2)
     m1 = RationalMap.reduce(two * (z() * z() + one()), two * z())
@@ -97,6 +106,33 @@ def test_equals_projective():
     assert not RationalMap.reduce(z() ** 2, one()).equals_projective(
         RationalMap.reduce(z() ** 3, one())
     )
+    # the canonical-form rule agrees with cross-multiplication on seeded
+    # maps, their holomorphic and antiholomorphic conjugates, conj_map round
+    # trips and the same map rebased from Q(i) to Q(zeta_8)
+    rng = random.Random(17)
+    verdicts = []
+    for _ in range(12):
+        phi = random_map(rng, rng.randint(2, 4))
+        g = random_moebius(rng)
+        anti = ExtendedMoebius(g.a, g.b, g.c, g.d, antiholo=True)
+        in_zeta8 = RationalMap.reduce(phi.numer.rebase(8), phi.denom.rebase(8))
+        assert phi.field_order == 4 and in_zeta8.field_order == 8
+        maps = [
+            phi,
+            in_zeta8,
+            phi.conjugate_by(g),
+            phi.conjugate_by(anti),
+            phi.conjugate_by(g).conjugate_by(g.inverse()),
+            phi.conjugate_by(anti).conjugate_by(anti.inverse()),
+            phi.conj_map(),
+            phi.conj_map().conj_map(),
+        ]
+        for f in maps:
+            for h in maps:
+                verdicts.append(f.equals_projective(h))
+                assert verdicts[-1] == _cross_equal(f, h)
+        assert in_zeta8.equals_projective(phi) and phi.equals_projective(maps[-1])
+    assert True in verdicts and False in verdicts
 
 
 def test_distinguished_points_cube():
@@ -113,7 +149,7 @@ def test_distinguished_points_cube():
 
 def test_silverman_critical_points():
     s3 = silverman(3)
-    crit = [p for p in s3.distinguished_points() if p.is_critical]
+    crit = [p for p in s3.distinguished_points() if p.crit_mult > 0]
     assert len(crit) == 2
     assert sorted(round(p.point.real) for p in crit) == [-1, 1]
     assert all(p.crit_mult == 2 for p in crit)
@@ -121,7 +157,7 @@ def test_silverman_critical_points():
 
 def test_distinguished_points_ratio_map():
     phi = RationalMap.reduce(z() * z() + one(), z() * z() - one())
-    crit_pts = [p.point for p in phi.distinguished_points() if p.is_critical]
+    crit_pts = [p.point for p in phi.distinguished_points() if p.crit_mult > 0]
     assert any(p is INF for p in crit_pts)
     assert any(p is not INF and abs(p) < 1e-9 for p in crit_pts)
 
@@ -134,7 +170,7 @@ def test_fixed_point_count_with_multiplicity():
         phi = random_map(rng, rng.randint(2, 4))
         f = phi.fixed_point_polynomial()
         total = sum(m for _, m in roots_numeric(f)) if f.degree >= 1 else 0
-        total += phi.infinity_fixed_multiplicity()
+        total += phi.infinity_fixed_multiplicity(f)
         assert total == phi.degree + 1
 
 
