@@ -51,10 +51,6 @@ def test_rebase_examples():
     assert CycloNum.zeta(6, 1).rebase(12) == CycloNum.zeta(12, 2)
     with pytest.raises(NotASubfieldError):
         CycloNum.zeta(8, 1).rebase(12)
-    w6 = CycloNum.zeta(6, 1)
-    assert i * i == CycloNum.from_rational(-1)
-    # after rebasing both into the lcm field the operation goes through
-    assert i.rebase(12) * w6.rebase(12) == CycloNum.zeta(12, 5)
 
 
 def test_unimodular_examples():
@@ -62,6 +58,14 @@ def test_unimodular_examples():
     assert i.is_unimodular()
     assert not (CycloNum.one() + i).is_unimodular()
     assert CycloNum.zeta(12, 5).is_unimodular()
+
+
+def test_field_arith_strict_mode():
+    i = CycloNum.i()
+    w6 = CycloNum.zeta(6, 1)
+    assert i * i == CycloNum.from_rational(-1)
+    # after rebasing both into the lcm field the operation goes through
+    assert i.rebase(12) * w6.rebase(12) == CycloNum.zeta(12, 5)
 
 
 def test_division_by_zero():
