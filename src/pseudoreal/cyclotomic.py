@@ -1,11 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-An element is stored as a vector of rationals of length phi(m) (Euler
-totient) over the power basis {zeta_m^j : 0 <= j < phi(m)}, reduced modulo
-the m-th cyclotomic polynomial.  This representation is canonical: two
-elements of the same field are equal iff their coordinate vectors are
-equal.  Complex conjugation is the field automorphism zeta -> zeta^(-1),
-so conjugation, unimodularity tests and the like are exact.  Mixed-field
+An element is stored as integer numerators over one positive integer
+denominator: ``num`` is a tuple of phi(m) ints (phi is Euler's totient),
+the coordinates over the power basis {zeta_m^j : 0 <= j < phi(m)} reduced
+modulo the m-th cyclotomic polynomial, and ``den`` is an int.  The form is
+canonical: gcd(num, den) = 1, den > 0, and zero is 0/1, so two elements of
+the same field are equal iff their (num, den) pairs are equal.  Every
+operation runs on ints, and ``coords`` is a read-only ``Fraction`` view.
+Complex conjugation is the field automorphism zeta -> zeta^(-1), so
+conjugation, unimodularity tests and the like are exact.  Mixed-field
 arithmetic rebases both operands to the lcm of their orders.
 
 Every exact identity "one coefficient vector is a scalar times another"
@@ -23,9 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotASubfieldError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
@@ -77,22 +77,33 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coordinates of zeta_m^j over the power basis, for 0 <= j < m."""
-    deg = euler_phi(m)
+def _phi_tail(m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero coefficients (j, c_j), j < phi(m), of Phi_m: reducing
+    c x^k for k >= phi(m) subtracts c c_j from the coefficient of
+    x^(k - phi(m) + j)."""
     phi_m = cyclotomic_polynomial(m)
-    rows = []
-    cur = [_ZERO] * deg
-    cur[0] = _ONE
-    for _ in range(m):
-        rows.append(tuple(cur))
-        carry = cur[deg - 1]
-        nxt = [_ZERO] + cur[: deg - 1]
-        if carry:
-            for idx in range(deg):
-                nxt[idx] -= carry * phi_m[idx]
-        cur = nxt
-    return tuple(rows)
+    return tuple((j, c) for j, c in enumerate(phi_m[:-1]) if c)
+
+
+def _reduce_mod_phi(m: int, raw: list[int]) -> list[int]:
+    """raw, an integer polynomial, reduced in place modulo Phi_m (monic)."""
+    deg = euler_phi(m)
+    tail = _phi_tail(m)
+    for k in range(len(raw) - 1, deg - 1, -1):
+        c = raw[k]
+        if c:
+            base = k - deg
+            for j, p in tail:
+                raw[base + j] -= c * p
+    del raw[deg:]
+    raw.extend([0] * (deg - len(raw)))
+    return raw
+
+
+@lru_cache(maxsize=None)
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coordinates of zeta_m^j over the power basis, for 0 <= j < m."""
+    return tuple(tuple(_reduce_mod_phi(m, [0] * j + [1])) for j in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -104,57 +115,87 @@ def _embedding_basis(m: int) -> tuple[complex, ...]:
     )
 
 
-def _reduce_mod_phi(m: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    deg = euler_phi(m)
-    phi_m = cyclotomic_polynomial(m)
-    if len(raw) < deg:
-        raw = raw + [_ZERO] * (deg - len(raw))
-    for k in range(len(raw) - 1, deg - 1, -1):
-        c = raw[k]
-        if c:
-            for j in range(deg):
-                raw[k - deg + j] -= c * phi_m[j]
-            raw[k] = _ZERO
-    return tuple(raw[:deg])
-
-
-def _coerce_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, in lowest terms."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class CycloNum:
-    """An exact element of Q(zeta_m)."""
+def _new(order: int, num, den: int) -> "CycloNum":
+    # trusts (num, den) to be canonical already
+    obj = object.__new__(CycloNum)
+    obj.order = order
+    obj.num = tuple(num)
+    obj.den = den
+    return obj
 
-    __slots__ = ("order", "coords")
+
+def _canonical(order: int, num: list[int], den: int) -> "CycloNum":
+    """num / den brought to canonical form; den may be negative."""
+    if den != 1:
+        # den first: the running gcd then stays at most den, which keeps
+        # each step cheap, and math.gcd stops once it reaches 1
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+    return _new(order, num, den)
+
+
+def _linear_image(num, den: int, order: int, step: int) -> "CycloNum":
+    """The image of num/den under zeta^j -> zeta_order^(j*step) for all j."""
+    table = _power_table(order)
+    acc = [0] * euler_phi(order)
+    for j, c in enumerate(num):
+        if c:
+            for idx, r in enumerate(table[(j * step) % order]):
+                if r:
+                    acc[idx] += c * r
+    return _canonical(order, acc, den)
+
+
+class CycloNum:
+    """An exact element of Q(zeta_m): integer numerators ``num`` over the
+    positive denominator ``den``, in canonical form."""
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coords):
-        self.order = order
-        coords = tuple(_coerce_fraction(c) for c in coords)
-        if len(coords) != euler_phi(order):
+        pairs = [_ratio(c) for c in coords]
+        if len(pairs) != euler_phi(order):
             raise ValueError("coordinate vector length must equal phi(order)")
-        self.coords = coords
+        # each pair is in lowest terms, so over the lcm the gcd is 1
+        den = math.lcm(*(d for _, d in pairs))
+        self.order = order
+        self.num = tuple(n * (den // d) for n, d in pairs)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates over the power basis (a read-only view)."""
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CycloNum":
-        q = _coerce_fraction(value)
-        coords = [q] + [_ZERO] * (euler_phi(order) - 1)
-        return cls(order, coords)
+        n, d = _ratio(value)
+        return _new(order, (n,) + (0,) * (euler_phi(order) - 1), d)
 
     @classmethod
     def zeta(cls, order: int, power: int = 1) -> "CycloNum":
         if order < 1:
             raise ValueError("root-of-unity order must be positive")
-        return cls(order, _power_table(order)[power % order])
+        return _new(order, _power_table(order)[power % order], 1)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CycloNum":
-        return cls(order, [_ZERO] * euler_phi(order))
+        return _new(order, (0,) * euler_phi(order), 1)
 
     @classmethod
     def one(cls, order: int = 1) -> "CycloNum":
@@ -167,7 +208,7 @@ class CycloNum:
     @classmethod
     def gaussian(cls, re, im) -> "CycloNum":
         """re + im*i as an element of Q(zeta_4)."""
-        return cls(4, [_coerce_fraction(re), _coerce_fraction(im)])
+        return cls(4, [re, im])
 
     # -- field housekeeping -------------------------------------------
 
@@ -178,16 +219,7 @@ class CycloNum:
             raise NotASubfieldError(
                 f"Q(zeta_{self.order}) is not contained in Q(zeta_{new_order})"
             )
-        step = new_order // self.order
-        table = _power_table(new_order)
-        deg = euler_phi(new_order)
-        acc = [_ZERO] * deg
-        for j, c in enumerate(self.coords):
-            if c:
-                row = table[(j * step) % new_order]
-                for idx in range(deg):
-                    acc[idx] += c * row[idx]
-        return CycloNum(new_order, acc)
+        return _linear_image(self.num, self.den, new_order, new_order // self.order)
 
     def _common(self, other: "CycloNum"):
         if self.order == other.order:
@@ -204,16 +236,16 @@ class CycloNum:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when it is rational, else None."""
-        if all(c == 0 for c in self.coords[1:]):
-            return self.coords[0]
-        return None
+        if any(self.num[1:]):
+            return None
+        return Fraction(self.num[0], self.den)
 
     def is_real(self) -> bool:
         return self.conj() == self
@@ -229,12 +261,15 @@ class CycloNum:
         except TypeError:
             return NotImplemented
         a, b = self._common(other)
-        return CycloNum(a.order, [x + y for x, y in zip(a.coords, b.coords)])
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.order, [x + y for x, y in zip(a.num, b.num)], da)
+        return _canonical(a.order, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.order, [-c for c in self.coords])
+        return _new(self.order, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         try:
@@ -242,7 +277,10 @@ class CycloNum:
         except TypeError:
             return NotImplemented
         a, b = self._common(other)
-        return CycloNum(a.order, [x - y for x, y in zip(a.coords, b.coords)])
+        da, db = a.den, b.den
+        if da == db:
+            return _canonical(a.order, [x - y for x, y in zip(a.num, b.num)], da)
+        return _canonical(a.order, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -253,14 +291,13 @@ class CycloNum:
         except TypeError:
             return NotImplemented
         a, b = self._common(other)
-        deg = len(a.coords)
-        conv = [_ZERO] * (2 * deg - 1)
-        for j, x in enumerate(a.coords):
+        ys = b.num
+        conv = [0] * (2 * len(ys) - 1)
+        for j, x in enumerate(a.num):
             if x:
-                for k, y in enumerate(b.coords):
-                    if y:
-                        conv[j + k] += x * y
-        return CycloNum(a.order, list(_reduce_mod_phi(a.order, conv)))
+                for k, y in enumerate(ys, j):
+                    conv[k] += x * y
+        return _canonical(a.order, _reduce_mod_phi(a.order, conv), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -268,21 +305,27 @@ class CycloNum:
         if self.is_zero():
             raise ZeroDivisionError("division by zero in a cyclotomic field")
         m = self.order
-        phi_m = [Fraction(c) for c in cyclotomic_polynomial(m)]
-        # Extended Euclid over Q[x]: u*self + v*Phi_m = 1 (Phi_m irreducible).
-        r0, r1 = phi_m, list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
+        # Fraction-free extended Euclid on (Phi_m, num): each remainder r
+        # keeps a cofactor s with s * num = r (mod Phi_m); every step takes
+        # an integer combination of two such pairs and divides out the
+        # content, so 1/num = s/r once r is a constant.
+        r0, s0 = list(cyclotomic_polynomial(m)), [0]
+        r1, s1 = _trimmed(self.num), [1]
+        while len(r1) > 1:
+            lead = r1[-1]
+            while len(r0) >= len(r1):
+                c, shift = r0[-1], len(r0) - len(r1)
+                r0 = _trimmed(_axpy(lead, r0, -c, r1, shift))
+                s0 = _axpy(lead, s0, -c, s1, shift)
+                g = math.gcd(*r0, *s0)
+                if g > 1:
+                    r0 = [v // g for v in r0]
+                    s0 = [v // g for v in s0]
+            if not r0:
                 raise ArithmeticError("gcd with the cyclotomic polynomial is not 1")
-            if len(r1) == 1:
-                c = r1[0]
-                return CycloNum(m, list(_reduce_mod_phi(m, [x / c for x in s1])))
-            q, rem = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        s1 = _reduce_mod_phi(m, s1)
+        return _canonical(m, [self.den * v for v in s1], r1[0])
 
     def __truediv__(self, other):
         try:
@@ -312,16 +355,7 @@ class CycloNum:
 
     def conj(self) -> "CycloNum":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
-        m = self.order
-        table = _power_table(m)
-        deg = euler_phi(m)
-        acc = [_ZERO] * deg
-        for j, c in enumerate(self.coords):
-            if c:
-                row = table[(m - j) % m]
-                for idx in range(deg):
-                    acc[idx] += c * row[idx]
-        return CycloNum(m, acc)
+        return _linear_image(self.num, self.den, self.order, -1)
 
     # -- comparisons / conversion ---------------------------------------
 
@@ -331,7 +365,7 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._common(other)
-        return a.coords == b.coords
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # cross-field equality makes a consistent hash impractical
 
@@ -340,10 +374,12 @@ class CycloNum:
 
     def to_complex(self) -> complex:
         basis = _embedding_basis(self.order)
+        den = self.den
         total = 0j
-        for c, w in zip(self.coords, basis):
-            if c:
-                total += float(c) * w
+        for n, w in zip(self.num, basis):
+            if n:
+                # int / int is correctly rounded, as float(Fraction) is
+                total += n / den * w
         return total
 
     def __repr__(self):
@@ -377,42 +413,23 @@ def _frac_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-# -- rational-coefficient polynomial helpers (internal to this module) --
+# -- integer polynomial helpers of the inverse ------------------------------
 
 
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [_ZERO], num
-    out = [_ZERO] * (len(num) - dd)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + dd] / lead
-        out[k] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    return out, num[:dd] if dd else [_ZERO]
+def _trimmed(p) -> list[int]:
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for j, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b):
-                if y:
-                    out[j + k] += x * y
+def _axpy(a: int, p: list[int], b: int, q: list[int], shift: int) -> list[int]:
+    """a * p + b * x^shift * q."""
+    out = [a * v for v in p]
+    out.extend([0] * (len(q) + shift - len(out)))
+    for k, v in enumerate(q, shift):
+        out[k] += b * v
     return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # -- module-level helpers ---------------------------------------------------

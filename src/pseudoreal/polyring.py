@@ -35,7 +35,7 @@ class Poly:
         m = common_order(*(v.order for v in vals)) if vals else (order or 1)
         if order is not None:
             m = common_order(m, order)
-        vals = [v.rebase(m) for v in vals]
+        vals = [v if v.order == m else v.rebase(m) for v in vals]
         while vals and vals[-1].is_zero():
             vals.pop()
         self.order = m
@@ -250,13 +250,10 @@ class Poly:
 
 def strip_rational_content(p: Poly) -> Poly:
     """Divide out the common rational content of all coordinates."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        for q in c.coords:
-            if q:
-                num_gcd = math.gcd(num_gcd, q.numerator)
-                den_lcm = math.lcm(den_lcm, q.denominator)
+    # each coefficient is num/den with gcd(num, den) = 1, so its content is
+    # gcd(num)/den in lowest terms
+    num_gcd = math.gcd(*(n for c in p.coeffs for n in c.num))
+    den_lcm = math.lcm(*(c.den for c in p.coeffs))
     if num_gcd == 0:
         return p
     return p.scale(Fraction(den_lcm, num_gcd))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -313,3 +314,42 @@ def test_report_rejects_a_closure_that_misses_the_search(monkeypatch):
     rep = aut_group_report(phi)
     assert not rep.certified and rep.mode == "numeric"
     assert not any(g.exact for g in rep.elements)
+
+
+def test_argument_scale_takes_an_exact_square_root(monkeypatch):
+    # psi(u/t) only fixes t^2 = 9i here: the folded relation has g = 2, and
+    # the branch that lifts a g-th root must find t = 3 zeta_8 exactly
+    u = Poly.x()
+    psi = RationalMap.reduce(one() + u ** 2, one() + Poly.constant(2) * u ** 4)
+    t = 3 * CycloNum.zeta(8, 1)
+    folded = []
+    fold = autgrp.fold_power_relations
+
+    def recording(relations):
+        folded.append(fold(relations))
+        return folded[-1]
+
+    monkeypatch.setattr(autgrp, "fold_power_relations", recording)
+    got = autgrp._solve_argument_scale(psi, normalizer_action(psi, t, False))
+    assert [g for g, _ in folded] == [2]
+    assert got == t and got.to_expr() == "3*w(8,1)"
+
+
+def test_fixed_points_fall_back_to_an_exact_square_root(monkeypatch):
+    # the fixed points (1 +- 3 zeta_8)/2 have no shape the recognizer
+    # proposes, so only the square root of the discriminant 9i finds them
+    b = CycloNum.gaussian(Fraction(-1, 4), Fraction(9, 4))
+    t = ExtendedMoebius(CycloNum.one(), b, CycloNum.one(), CycloNum.zero())
+    roots = []
+    sqrt = autgrp._exact_sqrt
+
+    def recording(value):
+        roots.append(sqrt(value))
+        return roots[-1]
+
+    monkeypatch.setattr(autgrp, "_exact_sqrt", recording)
+    p, q = autgrp._fixed_points_exact(t)
+    assert len(roots) == 1 and roots[0] * roots[0] == 9 * CycloNum.i()
+    half, w = Fraction(1, 2), CycloNum.zeta(8, 1)
+    expected = [(1 + 3 * w) * half, (1 - 3 * w) * half]
+    assert [p, q] in (expected, expected[::-1])

@@ -251,11 +251,22 @@ def _golden_family_map():
     return cyclic_pseudo_real_family(8, 2, -1, [-1 + 2 * i, -2, -2 - 2 * i])
 
 
+# a dense degree-6 map over Q(i) with rational coordinates, trivial group
+DENSE6_EXPR = (
+    "((-1/5+3/5*i)-z+(-9/10+7/10*i)*z^2+(1/2-1/2*i)*z^4+(-1/10-7/10*i)*z^5"
+    "+(4/5-2/5*i)*z^6)/((9/10+3/10*i)+(-i)*z+(-3/10+9/10*i)*z^2"
+    "+(1/10+7/10*i)*z^3+(-7/10-9/10*i)*z^4+(2/5+4/5*i)*z^5+z^6)"
+)
+# cyclic(12, 2): its report prints elements of Q(zeta_8), Q(zeta_12), Q(zeta_24)
+CYCLIC_N12_R2_EXPR = "(i*z+(-2*i)*z^13+(1+2*i)*z^25)/((2+i)+2*z^12+z^24)"
+
 GOLDEN_MAPS = [
     ("silverman5", lambda: silverman(5)),
     ("sample_degree13", sample_degree13),
     ("sample_degree3_order4", sample_degree3_order4),
     ("cyclic_n8_r2", _golden_family_map),
+    ("dense6", lambda: parse_map_expr(DENSE6_EXPR)),
+    ("cyclic_n12_r2", lambda: parse_map_expr(CYCLIC_N12_R2_EXPR)),
 ]
 
 

@@ -184,3 +184,185 @@ def test_lift_first_field_in_order_wins():
     got = lift(1j, [4, 8], lambda v: v == i)
     assert got.order == 4 and got.coords == CycloNum.i().coords
     assert got.to_expr() == "i"
+
+
+# -- oracle: schoolbook Fraction arithmetic over the power basis -------------
+#
+# An element is (m, coordinate tuple of Fractions).  This is the earlier
+# representation of CycloNum, kept here as the reference for the integer one.
+
+ORACLE_ORDERS = (1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 24)
+
+
+def _ref_reduce(m, raw):
+    deg, phi_m = euler_phi(m), cyclotomic_polynomial(m)
+    raw = list(raw) + [Fraction(0)] * (deg - len(raw))
+    for k in range(len(raw) - 1, deg - 1, -1):
+        for j in range(deg):
+            raw[k - deg + j] -= raw[k] * phi_m[j]
+    return tuple(raw[:deg])
+
+
+def _ref_mul(m, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for j, x in enumerate(a):
+        for k, y in enumerate(b):
+            conv[j + k] += x * y
+    return _ref_reduce(m, conv)
+
+
+def _ref_image(m, a, new_m, step):
+    """zeta_m^j -> zeta_new_m^(j*step); rebase for step = new_m/m, conj for -1."""
+    out = (Fraction(0),) * euler_phi(new_m)
+    for j, c in enumerate(a):
+        row = _ref_reduce(new_m, [Fraction(0)] * ((j * step) % new_m) + [Fraction(1)])
+        out = tuple(x + c * y for x, y in zip(out, row))
+    return out
+
+
+def _ref_inv(m, a):
+    # extended Euclid over Q[x]: s * a = r (mod Phi_m) for every remainder r
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    r0, s0 = [Fraction(c) for c in cyclotomic_polynomial(m)], []
+    r1, s1 = trim(list(a)), [Fraction(1)]
+    while len(r1) > 1:
+        while len(r0) >= len(r1):
+            q, shift = r0[-1] / r1[-1], len(r0) - len(r1)
+            r0 = trim([x - q * (r1[k - shift] if 0 <= k - shift < len(r1) else 0)
+                       for k, x in enumerate(r0)])
+            n = max(len(s0), len(s1) + shift)
+            s0 = [(s0[k] if k < len(s0) else 0)
+                  - q * (s1[k - shift] if 0 <= k - shift < len(s1) else 0) for k in range(n)]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+    return _ref_reduce(m, [x / r1[0] for x in s1])
+
+
+def _ref_complex(m, a):
+    total = 0j
+    for j, c in enumerate(a):
+        if c:
+            total += float(c) * complex(math.cos(2.0 * math.pi * j / m),
+                                        math.sin(2.0 * math.pi * j / m))
+    return total
+
+
+def _ref_expr(m, a):
+    def text(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    terms = []
+    for j, c in enumerate(a):
+        if c == 0:
+            continue
+        root = "i" if m == 4 and j == 1 else f"w({m},{j})"
+        terms.append(text(c) if j == 0 else root if c == 1 else f"-{root}" if c == -1
+                     else f"{text(c)}*{root}")
+    return "".join(t if k == 0 or t.startswith("-") else "+" + t
+                   for k, t in enumerate(terms)) or "0"
+
+
+def _random_coords(rng, m):
+    big = rng.random() < 0.2
+    out = []
+    for _ in range(euler_phi(m)):
+        if rng.random() < 0.3:
+            out.append(Fraction(0))
+        elif big:
+            out.append(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9)))
+        else:
+            out.append(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 12))))
+    return tuple(out)
+
+
+def _agrees(x, m, ref):
+    """x equals the reference element and is in canonical form."""
+    assert x.order == m and x.coords == ref
+    assert all(type(v) is int for v in x.num) and type(x.den) is int and x.den > 0
+    assert math.gcd(*x.num, x.den) == 1
+    if not any(x.num):
+        assert x.den == 1
+    return True
+
+
+@pytest.mark.parametrize("m", ORACLE_ORDERS)
+def test_integer_arithmetic_matches_fraction_oracle(m):
+    rng = random.Random(9000 + m)
+    for _ in range(12):
+        a, b = _random_coords(rng, m), _random_coords(rng, m)
+        x, y = CycloNum(m, a), CycloNum(m, b)
+        assert _agrees(x, m, a) and _agrees(y, m, b)
+        assert _agrees(x + y, m, tuple(p + q for p, q in zip(a, b)))
+        assert _agrees(x - y, m, tuple(p - q for p, q in zip(a, b)))
+        assert _agrees(-x, m, tuple(-p for p in a))
+        assert _agrees(x * y, m, _ref_mul(m, a, b))
+        assert _agrees(x * 3, m, tuple(3 * p for p in a))
+        assert _agrees(x.conj(), m, _ref_image(m, a, m, -1))
+        cube = _ref_mul(m, _ref_mul(m, a, a), a)
+        assert _agrees(x ** 3, m, cube)
+        assert _agrees(x ** 0, m, _ref_reduce(m, [Fraction(1)]))
+        if any(b):
+            assert _agrees(y.inv(), m, _ref_inv(m, b))
+            assert _agrees(x / y, m, _ref_mul(m, a, _ref_inv(m, b)))
+            assert _agrees(y ** -2, m, _ref_mul(m, _ref_inv(m, b), _ref_inv(m, b)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y.inv()
+        for k in (2, 3):
+            big = m * k
+            assert _agrees(x.rebase(big), big, _ref_image(m, a, big, k))
+        assert x.to_expr() == _ref_expr(m, a)
+        got, want = x.to_complex(), _ref_complex(m, a)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    assert _agrees(CycloNum.zero(m), m, (Fraction(0),) * euler_phi(m))
+    assert _agrees(CycloNum(m, [Fraction(0)] * euler_phi(m)), m, (Fraction(0),) * euler_phi(m))
+    x = CycloNum(m, _random_coords(rng, m))
+    assert _agrees(x - x, m, (Fraction(0),) * euler_phi(m))
+
+
+def test_mixed_field_equality_matches_fraction_oracle():
+    rng = random.Random(4242)
+    for _ in range(60):
+        m, n = rng.choice(ORACLE_ORDERS), rng.choice(ORACLE_ORDERS)
+        a = _random_coords(rng, m)
+        big = math.lcm(m, n)
+        lifted = _ref_image(m, a, big, big // m)
+        x = CycloNum(m, a)
+        # the same value presented in another field, and a perturbed one
+        same = CycloNum(big, lifted)
+        other = CycloNum(n, _random_coords(rng, n))
+        ref_other = _ref_image(n, other.coords, big, big // n)
+        assert x == same and same == x
+        assert (x == other) == (lifted == ref_other)
+        if all(c == 0 for c in a[1:]):
+            assert x == a[0]
+        assert _agrees(x + other, big, tuple(p + q for p, q in zip(lifted, ref_other)))
+
+
+def test_field_arithmetic_builds_no_fraction(monkeypatch):
+    rng = random.Random(24)
+    xs = [CycloNum(24, _random_coords(rng, 24)) for _ in range(10)]
+    xs = [x for x in xs if not x.is_zero()]
+    small = [CycloNum(m, _random_coords(rng, m)) for m in (1, 3, 4, 8, 12)]
+    built = []
+    for name in ("__new__", "_from_coprime_ints"):
+        original = Fraction.__dict__.get(name)
+        if original is None:
+            continue
+        inner = original.__func__
+
+        def counting(*args, _inner=inner, **kwargs):
+            built.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(Fraction, name, type(original)(counting))
+    for x, y in zip(xs, xs[1:]):
+        (x * y, x + y, x - y, x * 2 - 1, x.inv(), x / y, x ** 3, x ** -1, x.conj(),
+         x == y, x.is_unimodular())
+    for s in small:
+        (s.rebase(24), s + xs[0], s * xs[0])
+    monkeypatch.undo()
+    assert built == []
