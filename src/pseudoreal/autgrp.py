@@ -21,12 +21,12 @@ elements): the x^d and y^d coefficients first, then all 2d + 2.
 
 The report certifies a generating set, not every element (Faber, Manes and
 Viray, "Computing conjugating sets and automorphism groups of rational
-functions", J. Algebra 423, 2015): an element is certified on its own only
-when it is not an exact product of those certified before it, and the
-exact closure of the certified elements must match the numeric group
-element for element.  A failed lift leaves the element numeric and the
-report uncertified, and so does a closure that does not match; neither
-produces a wrong exact claim.
+functions", J. Algebra 423, 2015).  One product table of the numeric group
+names the element nearest to each product within its orientation: its worst
+distance is the closure check, orders are walks along it, and the exact
+closure of the certified elements must follow it product for product.  A
+failed lift leaves the element numeric and the report uncertified, and so
+does a closure that does not match; neither produces a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ TOLERANCES = {"root": ROOT_TOL, "match": MATCH_TOL, "dedup": DEDUP_TOL, "probe":
 class AutGroupReport:
     """Holomorphic and antiholomorphic automorphisms plus group structure.
 
-    ``orders[i]`` is the order of ``elements[i]``: computed once on the
-    numeric group and carried to the exact element matched to it."""
+    ``orders[i]`` is the order of ``elements[i]``: read off the numeric
+    group's product table and carried to the exact element matched to it."""
 
     elements: list[ExtendedMoebius]
     orders: list[int]
@@ -261,15 +261,41 @@ def antiholomorphic_automorphisms(
 # -- group structure ---------------------------------------------------------
 
 
-def _element_orders(elements: list[ExtendedMoebius], n_holo: int) -> list[int]:
-    """Numeric orders of the elements of a group with n_holo holomorphic
-    elements, all with one bound and one tolerance.  No order exceeds
-    2 * n_holo: the square of an antiholomorphic element is holomorphic."""
+def _product_table(elements: list[ExtendedMoebius]) -> tuple[list[list[int]], float]:
+    """(table, defect): ``table[i][j]`` is the index of the element of the
+    orientation of elements[i] o elements[j] nearest to that product, and
+    ``defect`` the largest such distance, measured as ``proj_distance``
+    measures it; inf when an orientation has no element."""
+    anti = np.array([g.antiholo for g in elements])
+    mats = np.array([(h.a, h.b, h.c, h.d) for h in map(ExtendedMoebius.to_numeric, elements)])
+    mats /= np.linalg.norm(mats, axis=1)[:, None]
+    # an antiholomorphic left factor acts on the conjugated right matrix
+    m = mats.reshape(-1, 2, 2)
+    right = np.where(anti[:, None, None, None], m.conj()[None], m[None])
+    prod = (m[:, None] @ right).reshape(len(elements), len(elements), 4)
+    prod /= np.linalg.norm(prod, axis=2)[..., None]
+    prod_anti = anti[:, None] != anti[None, :]
+    cos = np.abs(prod @ mats.conj().T)
+    cos[prod_anti[..., None] != anti] = -1.0
+    table = cos.argmax(axis=2)
+    # the orthogonal part keeps the digits that 1 - cos^2 loses
+    near = mats[table]
+    resid = prod - (prod * near.conj()).sum(axis=2, keepdims=True) * near
+    dist = np.where(anti[table] == prod_anti, np.linalg.norm(resid, axis=2), np.inf)
+    return table.tolist(), float(dist.max())
+
+
+def _orders(table: list[list[int]]) -> list[int]:
+    """Element orders read off a product table: the steps of the walk
+    g, g o g, ... that reach the identity, the one element with e o e = e."""
+    identity = next((i for i, row in enumerate(table) if row[i] == i), None)
     orders = []
-    for g in elements:
-        k = g.order(bound=2 * n_holo, tol=1e-6)
-        if k is None:
-            raise NotAGroupError("element order exceeds the group-order bound")
+    for i, row in enumerate(table):
+        x, k = i, 1
+        while x != identity:
+            if k == len(table):
+                raise NotAGroupError("element order exceeds the group-order bound")
+            x, k = row[x], k + 1
         orders.append(k)
     return orders
 
@@ -279,7 +305,8 @@ def classify_group_type(elements: list[ExtendedMoebius], orders: list[int] | Non
     A4, S4 or A5, decided by the element-order multiset.
 
     ``orders`` are the numeric orders of the holomorphic elements, in
-    their order, when the caller has already computed them."""
+    their order, when the caller has already read them off the product
+    table."""
     holo = [g for g in elements if not g.antiholo]
     n = len(holo)
     if n == 0:
@@ -287,7 +314,7 @@ def classify_group_type(elements: list[ExtendedMoebius], orders: list[int] | Non
     if n == 1:
         return ("Trivial", None)
     if orders is None:
-        orders = _element_orders(holo, n)
+        orders = _orders(_product_table(holo)[0])
     top = max(orders)
     if top == n:
         return ("Cyclic", n)
@@ -304,14 +331,8 @@ def classify_group_type(elements: list[ExtendedMoebius], orders: list[int] | Non
 
 
 def closure_defect(elements: list[ExtendedMoebius]) -> float:
-    """Worst distance from any pairwise product to the element list."""
-    worst = 0.0
-    for g in elements:
-        for h in elements:
-            prod = g.compose(h).normalized()
-            best = min(proj_distance(prod, e) for e in elements)
-            worst = max(worst, best)
-    return worst
+    """Worst distance from a pairwise product to the elements of its orientation."""
+    return _product_table(elements)[1]
 
 
 def _form_value(p: Poly, x: CycloNum, y: CycloNum, formal_degree: int) -> CycloNum:
@@ -492,33 +513,6 @@ def _sort_elements(pairs: list[tuple[ExtendedMoebius, int]]):
     return sorted(pairs, key=key)
 
 
-def _same_element(g: ExtendedMoebius, h: ExtendedMoebius) -> bool:
-    """Equality of two exact elements in normalized form."""
-    return g.antiholo == h.antiholo and (g.a, g.b, g.c, g.d) == (h.a, h.b, h.c, h.d)
-
-
-def _close_under(closure: list, gens: list, cap: int) -> bool:
-    """Grow ``closure``, a list of (exact normalized element, its numeric
-    copy) closed under composition with gens[:-1], until it is closed under
-    all of gens, breadth first.  False once it would exceed cap elements.
-
-    Left products suffice: a set that holds the identity and is closed under
-    composition with the generators is the group they generate.  Old
-    elements only need the newest generator."""
-    n_old = len(closure)
-    i = 0
-    while i < len(closure):
-        x = closure[i][0]
-        for s in gens if i >= n_old else gens[-1:]:
-            y = s.compose(x).normalized()
-            if not any(_same_element(y, e) for e, _ in closure):
-                if len(closure) == cap:
-                    return False
-                closure.append((y, y.to_numeric()))
-        i += 1
-    return True
-
-
 def _lifted_like(
     phi: RationalMap, g: ExtendedMoebius, k: int | None, e: ExtendedMoebius
 ) -> ExtendedMoebius:
@@ -533,56 +527,55 @@ def _lifted_like(
     return ExtendedMoebius(*(lifted or target), antiholo=g.antiholo)
 
 
-def _certify_group(
-    phi: RationalMap,
-    holos: list[tuple[ExtendedMoebius, int]],
-    antis: list[tuple[ExtendedMoebius, int]],
-):
-    """Exact elements for the numeric group holos + antis, given as (element,
-    order) pairs, from a certified generating set; ((exact element, order)
-    pairs, lift failures), or None when the exact closure of the certified
-    elements does not match the numeric list.
+def _certify_group(phi: RationalMap, elements: list[ExtendedMoebius], orders: list[int], table):
+    """Exact elements for the numeric group ``elements`` with its orders and
+    product table, from a certified generating set: ((exact element, order)
+    pairs, lift failures), or None when the exact closure does not match.
 
     The identity is the empty product and needs no check.  Then come the
     holomorphic elements by decreasing order, then the antiholomorphic
-    ones.  An element within 1e-6 of the exact closure so far is taken from
-    it, certified as a product of certified elements; any other one is
-    certified alone and becomes a generator."""
-    numeric = [g for g, _ in holos + antis]
-    identity = ExtendedMoebius.identity(common_order(phi.field_order, 4))
-    closure = [(identity, identity.to_numeric())]
-    gens: list[ExtendedMoebius] = []
-    used: set[int] = set()  # closure indices already given to an element
-    work = sorted(holos, key=lambda gk: -gk[1]) + antis
+    ones; one the closure has reached is taken from it, any other one is
+    certified alone and becomes a generator.  The closure grows by left
+    products with the generators along the table: the exact s o x must be
+    the exact element at table[s][x] or, at a new index, lie within 1e-6 of
+    its numeric element and not be the identity.  So index to exact element
+    is a homomorphism with trivial kernel: no exact element stands for two
+    numeric ones."""
+    identity = orders.index(1)
+    closure = {identity: ExtendedMoebius.identity(common_order(phi.field_order, 4))}
+    gens: list[tuple[int, ExtendedMoebius]] = []
+    work = sorted((i for i, g in enumerate(elements) if not g.antiholo), key=lambda i: -orders[i])
+    work += [i for i, g in enumerate(elements) if g.antiholo]
     exact: list[tuple[ExtendedMoebius, int]] = []
     failed = 0
-    for g, k in work:
-        idx = next(
-            (i for i, (_, num) in enumerate(closure) if num.projectively_equal(g, 1e-6)), None
-        )
-        if idx is not None:
-            exact.append((_lifted_like(phi, g, k, closure[idx][0]), k))
-        else:
-            cert = certify_element(phi, g)
-            if cert is None:
-                failed += 1
-                exact.append((g, k))
-                continue
-            gens.append(cert)
-            n_old = len(closure)
-            if not _close_under(closure, gens, len(numeric)):
-                return None
-            if not all(
-                any(num.projectively_equal(h, 1e-6) for h in numeric)
-                for _, num in closure[n_old:]
-            ):
-                return None
-            norm = cert.normalized()
-            idx = next(i for i, (e, _) in enumerate(closure) if _same_element(norm, e))
-            exact.append((cert, k))
-        if idx in used:
-            return None
-        used.add(idx)
+    for w in work:
+        g, k = elements[w], orders[w]
+        if w in closure:
+            exact.append((_lifted_like(phi, g, k, closure[w]), k))
+            continue
+        cert = certify_element(phi, g)
+        if cert is None:
+            failed += 1
+            exact.append((g, k))
+            continue
+        gens.append((w, cert.normalized()))
+        queue = list(closure)
+        n_old = len(queue)
+        # old elements are closed under the old generators already
+        for pos, x in enumerate(queue):
+            for s, gen in gens if pos >= n_old else gens[-1:]:
+                # the table gives y the orientation of the element it names
+                y_idx, y = table[s][x], gen.compose(closure[x]).normalized()
+                if y_idx in closure:
+                    e = closure[y_idx]
+                    if (y.a, y.b, y.c, y.d) != (e.a, e.b, e.c, e.d):
+                        return None
+                elif y.is_identity() or proj_distance(y, elements[y_idx]) > 1e-6:
+                    return None
+                else:
+                    closure[y_idx] = y
+                    queue.append(y_idx)
+        exact.append((cert, k))
     return exact, failed
 
 
@@ -594,21 +587,19 @@ def aut_group_report(phi: RationalMap, *, certify: bool = True) -> AutGroupRepor
     antis = antiholomorphic_automorphisms(phi, points=points)
     elements = holos + antis
     notes: list[str] = []
-    defect = closure_defect(elements)
+    table, defect = _product_table(elements)
     if defect > 10 * DEDUP_TOL:
         raise NotAGroupError(f"element list not closed under composition ({defect:.2e})")
     if antis and len(antis) != len(holos):
         raise NotAGroupError(
             f"antiholomorphic coset has size {len(antis)} against {len(holos)}"
         )
-    orders = _element_orders(elements, len(holos))
+    orders = _orders(table)
     kind, n = classify_group_type(holos, orders=orders[: len(holos)])
-    holo_pairs = list(zip(holos, orders))
-    anti_pairs = list(zip(antis, orders[len(holos) :]))
-    pairs = holo_pairs + anti_pairs
+    pairs = list(zip(elements, orders))
     certified = False
     if certify:
-        result = _certify_group(phi, holo_pairs, anti_pairs)
+        result = _certify_group(phi, elements, orders, table)
         if result is None:
             notes.append("exact closure of the certified elements does not match the search")
         else:

@@ -83,7 +83,6 @@ class RotationFormCheck:
 
     n: int
     condition_a_holds: bool              # no unimodular c with psi(z) = psi-bar(c z)
-    rotation_factor: complex | None      # a numeric c when condition (a) fails
     admissible_betas: list[CycloNum]     # exact unimodular solutions of the inversion identity
     includes_beta_one: bool
     unresolved_betas: list[complex]      # numeric unimodular roots that resisted lifting
@@ -94,7 +93,7 @@ class RotationFormCheck:
     notes: list[str] = field(default_factory=list)
 
 
-def _rotation_conjugate_solvable(psi: RationalMap):
+def _rotation_conjugate_solvable(psi: RationalMap) -> bool:
     """Existence of a unimodular c with psi(z) = psi-bar(c z).
 
     Reduced fractions force conj(x_k) c^k = mu x_k coefficient-wise with
@@ -112,7 +111,7 @@ def _rotation_conjugate_solvable(psi: RationalMap):
     for k, w in items:
         if k in by_k:
             if by_k[k] != w:
-                return False, None
+                return False
         else:
             by_k[k] = w
     ks = sorted(by_k)
@@ -120,13 +119,8 @@ def _rotation_conjugate_solvable(psi: RationalMap):
     w0 = by_k[k0]
     relations = [(k - k0, w0 / by_k[k]) for k in ks[1:]]  # c^delta = value
     if not relations:
-        return True, 1.0 + 0j  # only one exponent class: any unimodular c works
-    folded = fold_power_relations(relations)
-    if folded is None:
-        return False, None
-    g, val = folded
-    c_num = val.to_complex() ** (1.0 / g)
-    return True, c_num
+        return True  # only one exponent class: any unimodular c works
+    return fold_power_relations(relations) is not None
 
 
 def _inversion_identity_polynomials(psi: RationalMap) -> list[Poly]:
@@ -214,7 +208,7 @@ def rotation_form_check(form: CanonicalCyclicForm) -> RotationFormCheck:
     if form.n < 2:
         raise NotCanonicalError("rotation normal form needs order n >= 2")
     psi = form.psi
-    solvable, c_num = _rotation_conjugate_solvable(psi)
+    solvable = _rotation_conjugate_solvable(psi)
     betas, includes_one, unresolved = _admissible_inversion_factors(psi)
     notes: list[str] = []
     if not solvable:
@@ -234,7 +228,6 @@ def rotation_form_check(form: CanonicalCyclicForm) -> RotationFormCheck:
     check = RotationFormCheck(
         n=form.n,
         condition_a_holds=not solvable,
-        rotation_factor=c_num if solvable else None,
         admissible_betas=betas,
         includes_beta_one=includes_one,
         unresolved_betas=unresolved,

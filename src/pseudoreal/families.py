@@ -86,8 +86,7 @@ def cyclic_pseudo_real_family(
     if lhs != rhs:
         raise ConditionViolationError("inversion identity psi-bar(z) = 1/psi(-1/z) failed")
     # safety: the rotation-axis reflection must not exist
-    solvable, _ = _rotation_conjugate_solvable(psi)
-    if solvable:
+    if _rotation_conjugate_solvable(psi):
         raise ConditionViolationError("psi(z) = psi-bar(c z) solvable; map would be real")
     z = Poly.x(psi.field_order)
     return RationalMap.reduce(

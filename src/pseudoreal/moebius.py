@@ -346,7 +346,10 @@ def _three_point_rows(points):
 
 
 def proj_distance(g: ExtendedMoebius, h: ExtendedMoebius) -> float:
-    """Sine of the projective angle between two numeric matrices."""
+    """Sine of the projective angle between two numeric matrices.
+
+    It is the length of the part of g's unit vector orthogonal to h's, not
+    sqrt(1 - cos^2), which cannot resolve angles below about 1e-8."""
     m = [complex(x) for x in (g.a, g.b, g.c, g.d)] if not g.exact else [
         x.to_complex() for x in (g.a, g.b, g.c, g.d)
     ]
@@ -355,9 +358,10 @@ def proj_distance(g: ExtendedMoebius, h: ExtendedMoebius) -> float:
     ]
     nm = math.sqrt(sum(abs(x) ** 2 for x in m))
     nn = math.sqrt(sum(abs(x) ** 2 for x in n))
-    inner = abs(sum(x * y.conjugate() for x, y in zip(m, n)))
-    cos2 = min(1.0, (inner / (nm * nn)) ** 2)
-    return math.sqrt(max(0.0, 1.0 - cos2))
+    u = [x / nm for x in m]
+    e = [y / nn for y in n]
+    inner = sum(x * y.conjugate() for x, y in zip(u, e))
+    return math.sqrt(sum(abs(x - inner * y) ** 2 for x, y in zip(u, e)))
 
 
 def cross_ratio(z1, z2, z3, z4):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from pseudoreal import (
 )
 from pseudoreal import autgrp
 from pseudoreal.autgrp import certify_element, closure_defect
+from pseudoreal.moebius import named_generator, proj_distance
 from pseudoreal.cyclotomic import common_order, recognize_cyclo_candidates
 from pseudoreal.errors import NotAnAutomorphismError, OrderMismatchError
 from pseudoreal.families import sample_degree3_order4, sample_degree13
@@ -76,6 +78,67 @@ def test_group_closure_and_coset_size():
         assert closure_defect(rep.elements) < 1e-6
         antis = rep.antiholo_elements
         assert len(antis) in (0, len(rep.holo_elements))
+
+
+def test_closure_defect_respects_orientation():
+    # z -> -z and z -> -conj(z) compose to z -> conj(z), which is missing;
+    # the nearest element of either orientation is not an answer
+    minus, zero = -CycloNum.one(), CycloNum.zero()
+    elements = [
+        ExtendedMoebius.identity(),
+        ExtendedMoebius.scaling(-1),
+        ExtendedMoebius(minus, zero, zero, CycloNum.one(), antiholo=True),
+    ]
+    assert closure_defect(elements) >= 0.5
+
+
+def _reference_table(elements):
+    """The nearest-element scan over all pairwise products, among the
+    elements of the product's orientation: (table, worst distance)."""
+    table, worst = [], 0.0
+    for g in elements:
+        row = []
+        for h in elements:
+            prod = g.compose(h).normalized()
+            dist = [
+                proj_distance(prod, e) if e.antiholo == prod.antiholo else math.inf
+                for e in elements
+            ]
+            row.append(min(range(len(elements)), key=dist.__getitem__))
+            worst = max(worst, dist[row[-1]])
+        table.append(row)
+    return table, worst
+
+
+def _generated(gens):
+    """The exact group the generators generate, breadth first."""
+    group = [ExtendedMoebius.identity()]
+    for x in group:
+        for s in gens:
+            y = s.compose(x).normalized()
+            if not any(y.antiholo == e.antiholo and y.projectively_equal(e) for e in group):
+                group.append(y)
+    return group
+
+
+def test_product_table_matches_the_nearest_element_loop():
+    from test_cli import GOLDEN_MAPS
+
+    groups = [
+        aut_group_report(build(), certify=False).elements
+        for build in [b for _, b in GOLDEN_MAPS] + [lambda: RationalMap.reduce(z() ** 3, one())]
+    ]
+    # S4 from T(4) and C; C is real and J T J = T^-1, so J extends it to 48
+    s4 = _generated([named_generator("T", 4), named_generator("C")])
+    extended = s4 + [ExtendedMoebius.conjugation().compose(g).normalized() for g in s4]
+    assert len(s4) == 24 and len(extended) == 48
+    assert classify_group_type(s4) == ("S4", None) == classify_group_type(extended)
+    for elements in groups + [s4, extended]:
+        numeric = [g.to_numeric() for g in elements]
+        table, defect = autgrp._product_table(numeric)
+        ref_table, ref_defect = _reference_table(numeric)
+        assert table == ref_table
+        assert abs(defect - ref_defect) <= 1e-12 and defect < 1e-6
 
 
 def test_classify_group_type_examples():
@@ -314,6 +377,25 @@ def test_report_rejects_a_closure_that_misses_the_search(monkeypatch):
     rep = aut_group_report(phi)
     assert not rep.certified and rep.mode == "numeric"
     assert not any(g.exact for g in rep.elements)
+
+
+def test_report_rejects_a_generator_that_is_only_numerically_right(monkeypatch):
+    # the antiholomorphic generator is moved by 1e-9: each new product stays
+    # within 1e-6 of its numeric element, but products that reach an index
+    # twice disagree exactly, so the closure must not be certified
+    phi = sample_degree13()
+
+    def nudged(phi, g):
+        cert = certify_element(phi, g)
+        if g.antiholo:
+            eps = CycloNum.from_rational(Fraction(1, 10**9), cert.a.order)
+            cert = ExtendedMoebius(cert.a + eps, cert.b, cert.c, cert.d, antiholo=True)
+        return cert
+
+    monkeypatch.setattr(autgrp, "certify_element", nudged)
+    rep = aut_group_report(phi)
+    assert not rep.certified
+    assert rep.notes == ["exact closure of the certified elements does not match the search"]
 
 
 def test_argument_scale_takes_an_exact_square_root(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from pseudoreal import (
     CycloNum,
+    classify,
     ExtendedMoebius,
     Poly,
     RationalMap,
@@ -17,7 +18,7 @@ from pseudoreal import (
 )
 from pseudoreal.autgrp import CanonicalCyclicForm
 from pseudoreal.classify import NO_ANTIHOLOMORPHIC, PSEUDO_REAL, REAL
-from pseudoreal.errors import BadDegreeError
+from pseudoreal.errors import BadDegreeError, NotCertifiedError
 from pseudoreal.families import sample_degree13
 
 from conftest import gauss, nonzero_gauss, random_map, random_moebius
@@ -250,6 +251,42 @@ def test_classify_examples():
     assert c.verdict == PSEUDO_REAL
     assert (c.holo_kind, c.holo_n) == ("Cyclic", 6)
     assert c.beta == CycloNum.from_rational(-1)
+
+
+def test_classify_takes_the_form_from_the_next_generator(monkeypatch):
+    # the first order-6 generator does not canonicalize; the second one does
+    calls, forms = [], []
+    canonicalize = classify.canonicalize_cyclic
+
+    def failing_once(phi, gen):
+        calls.append(gen)
+        if len(calls) == 1:
+            raise NotCertifiedError("fixed points of the symmetry are not liftable")
+        forms.append(canonicalize(phi, gen))
+        return forms[-1]
+
+    monkeypatch.setattr(classify, "canonicalize_cyclic", failing_once)
+    c = classify_map(sample_degree13())
+    assert len(calls) == 2 and not calls[0].projectively_equal(calls[1])
+    assert c.form is forms[0] and c.form.n == 6
+    assert c.certified and c.verdict == PSEUDO_REAL
+    assert "rotation-form certificate agrees (exact)" in c.consistency_notes
+    assert c.beta == CycloNum.from_rational(-1)
+
+
+def test_classify_reports_an_unresolved_rotation_form_uncertified(monkeypatch):
+    check = classify.rotation_form_check
+
+    def unresolved(form):
+        result = check(form)
+        result.verdict = "unresolved"
+        return result
+
+    monkeypatch.setattr(classify, "rotation_form_check", unresolved)
+    c = classify_map(sample_degree13())
+    assert not c.certified and c.verdict == PSEUDO_REAL
+    assert "rotation-form certificate inconclusive" in c.consistency_notes
+    assert c.alpha is None and c.beta is None
 
 
 def test_classify_rejects_low_degree():

@@ -309,3 +309,21 @@ def test_analyze_powers_exact_elements_only_to_certify_the_generator(
     code, _, err = run_cli("analyze", "--map", build().to_expr(), "--json")
     assert code == 0, err
     assert seen == callers
+
+
+@pytest.mark.parametrize("name", ["sample_degree13", "cyclic_n12_r2"])
+def test_analyze_reads_numeric_orders_off_the_product_table(monkeypatch, name):
+    # no numeric matrix is raised to powers for the group structure; only
+    # certify_element works out the order that picks its lift fields
+    seen = set()
+    original = ExtendedMoebius.order
+
+    def recording(self, *args, **kwargs):
+        if not self.exact:
+            seen.add(sys._getframe(1).f_code.co_name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExtendedMoebius, "order", recording)
+    code, _, err = run_cli("analyze", "--map", dict(GOLDEN_MAPS)[name]().to_expr(), "--json")
+    assert code == 0, err
+    assert seen == {"certify_element"}
