@@ -742,12 +742,9 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
     b_0 = psi.denom.coeff(0)
     if a_r.is_zero() and not b_0.is_zero():
         # phi(0) = 0 = phi(inf): flip by 1/z into the b-case
-        flip = ExtendedMoebius.inversion()
-        conj = flip.compose(conj)
+        conj = ExtendedMoebius.inversion().compose(conj)
         work = phi.conjugate_by(conj)
-        p, q = _extract_power_form(work, n)
-        psi = RationalMap.reduce(p, q)
-        r = psi.degree
+        psi = _flip_psi(psi)  # 1/psi(1/u), of the same degree r
         a_r = psi.numer.coeff(r)
         b_0 = psi.denom.coeff(0)
     d = phi.degree
@@ -770,17 +767,6 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
 # -- the normalizer action on the psi parameter -----------------------------------
 
 
-def _arg_scaled(poly: Poly, t: CycloNum, formal: int) -> Poly:
-    """Coefficients c_k * t^(formal - k); the poly side of psi(u/t)."""
-    out = []
-    power = CycloNum.one(t.order)
-    coeffs = poly.padded(formal + 1)
-    for k in range(formal, -1, -1):
-        out.append(coeffs[k] * power)
-        power = power * t
-    return Poly(list(reversed(out)))
-
-
 def _flip_psi(psi: RationalMap) -> RationalMap:
     """1/psi(1/u)."""
     r = max(psi.numer.degree, psi.denom.degree)
@@ -796,9 +782,9 @@ def normalizer_action(psi: RationalMap, t, flip: bool) -> RationalMap:
     t = CycloNum._coerce(t)
     if t.is_zero():
         raise ValueError("scale parameter must be nonzero")
-    r = max(psi.numer.degree, psi.denom.degree)
+    inv_t = t.inv()
     scaled = RationalMap.reduce(
-        _arg_scaled(psi.numer, t, r), _arg_scaled(psi.denom, t, r)
+        psi.numer.scale_argument(inv_t), psi.denom.scale_argument(inv_t)
     )
     return _flip_psi(scaled) if flip else scaled
 
@@ -826,17 +812,12 @@ def _solve_argument_scale(psi_a: RationalMap, psi_b: RationalMap):
     support = [k for k in range(len(va)) if not va[k].is_zero()]
     if [k for k in range(len(vb)) if not vb[k].is_zero()] != support:
         return None
-    # the relation vb = s * va * t^(r - exponent) uses the power of u the
-    # coefficient belongs to, not its index in the concatenated vector
-    exponent = [k if k <= r else k - (r + 1) for k in support]
-    k0 = support[0]
-    e0 = exponent[0]
-    w0 = vb[k0] / va[k0]
-    # t^(e0 - e) = (vb[k] / va[k]) / w0, i.e. t^(e - e0) = w0 / (vb[k] / va[k])
-    relations = [(e - e0, w0 / (vb[k] / va[k])) for k, e in zip(support[1:], exponent[1:])]
-    if not relations:
-        return CycloNum.one(m) if psi_a.equals_projective(psi_b) else None
-    folded = fold_power_relations(relations)
+    # vb = s * va * t^(r - e), so (vb / va) * t^e = s * t^r is one value;
+    # e is the power of u the coefficient belongs to, not its index in the
+    # concatenated vector
+    folded = fold_power_relations(
+        [(k if k <= r else k - (r + 1), vb[k] / va[k]) for k in support]
+    )
     if folded is None:
         return None
     g, val = folded

@@ -97,30 +97,16 @@ def _rotation_conjugate_solvable(psi: RationalMap) -> bool:
     """Existence of a unimodular c with psi(z) = psi-bar(c z).
 
     Reduced fractions force conj(x_k) c^k = mu x_k coefficient-wise with
-    one scalar mu shared by numerator and denominator; eliminating mu
-    leaves relations c^delta = (known unimodular value), solvable on the
-    unit circle iff they are consistent."""
-    items: list[tuple[int, CycloNum]] = []
-    m = psi.field_order
-    for poly in (psi.numer, psi.denom):
-        for k, coeff in enumerate(poly.rebase(m).coeffs):
-            if not coeff.is_zero():
-                items.append((k, coeff.conj() / coeff))
-    # merge duplicate exponents; inconsistent duplicates are unsolvable
-    by_k: dict[int, CycloNum] = {}
-    for k, w in items:
-        if k in by_k:
-            if by_k[k] != w:
-                return False
-        else:
-            by_k[k] = w
-    ks = sorted(by_k)
-    k0 = ks[0]
-    w0 = by_k[k0]
-    relations = [(k - k0, w0 / by_k[k]) for k in ks[1:]]  # c^delta = value
-    if not relations:
-        return True  # only one exponent class: any unimodular c works
-    return fold_power_relations(relations) is not None
+    one scalar mu shared by numerator and denominator: (conj(x_k)/x_k) c^k
+    is one value for every nonzero coefficient, and such unimodular
+    relations are solvable on the unit circle iff they are consistent."""
+    terms = [
+        (k, coeff.conj() / coeff)
+        for poly in (psi.numer, psi.denom)
+        for k, coeff in enumerate(poly.coeffs)
+        if not coeff.is_zero()
+    ]
+    return fold_power_relations(terms) is not None
 
 
 def _inversion_identity_polynomials(psi: RationalMap) -> list[Poly]:

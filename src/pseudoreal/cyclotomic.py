@@ -543,17 +543,20 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def fold_power_relations(relations) -> tuple[int, CycloNum] | None:
-    """Reduce the relations x^delta = v, given as (delta, v) pairs, to one
-    relation x^g = w with g the gcd of the exponents.
+def fold_power_relations(terms) -> tuple[int, CycloNum] | None:
+    """Reduce the terms (e, v), each saying that v * x^e is one value
+    across all terms, to one relation x^g = w.
 
-    Returns (g, w), or None when the relations are inconsistent.  g = 0
-    means that every exponent vanishes and every v is 1, so any nonzero x
-    solves them."""
+    Anchored at the first term (e0, v0), each other term says
+    x^(e - e0) = v0 / v, and g is the gcd of these differences.  Returns
+    (g, w), or None when the relations are inconsistent, as when one
+    exponent carries two values.  g = 0 means every term has exponent e0
+    and value v0, so any nonzero x solves them; one term gives (0, 1)."""
+    (e0, v0), *rest = terms
     # x^delta = v is x^(-delta) = 1/v: make every exponent non-negative
-    rels = [(delta, v) if delta >= 0 else (-delta, v.inv()) for delta, v in relations]
-    g, w = rels[0]
-    for delta, v in rels[1:]:
+    rels = [(e - e0, v0 / v) if e >= e0 else (e0 - e, v / v0) for e, v in rest]
+    g, w = 0, CycloNum.one(v0.order)
+    for delta, v in rels:
         x, y = _bezout(g, delta)
         w = (w ** x) * (v ** y)
         g = math.gcd(g, delta)

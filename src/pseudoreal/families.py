@@ -14,7 +14,11 @@
 from __future__ import annotations
 
 from .autgrp import CanonicalCyclicForm
-from .classify import _rotation_conjugate_solvable, antipodal_denominator
+from .classify import (
+    _inversion_identity_polynomials,
+    _rotation_conjugate_solvable,
+    antipodal_denominator,
+)
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, ConditionViolationError, NotCanonicalError
 from .polyring import Poly
@@ -31,14 +35,6 @@ def silverman(d: int) -> RationalMap:
     return RationalMap.reduce(Poly.constant(i) * (z - one) ** d, (z + one) ** d)
 
 
-def _support_in_residue_class(psi: RationalMap, modulus: int) -> bool:
-    for poly in (psi.numer, psi.denom):
-        for k, c in enumerate(poly.coeffs):
-            if not c.is_zero() and k % modulus != 0:
-                return False
-    return True
-
-
 def cyclic_pseudo_real_family(
     n: int, r: int, theta: CycloNum, coeffs
 ) -> RationalMap:
@@ -46,10 +42,11 @@ def cyclic_pseudo_real_family(
 
     Requires n >= 6, even r >= 2, unimodular e^(i theta), a_1 a_r != 0 and
     a_0 a_r != e^(2 i theta) conj(a_0 a_r).  The construction hypotheses
-    are re-verified, including the exact inversion identity
-    psi-bar(z) = 1 / psi(-1/z); the result has degree 1 + n r, is
-    pseudo-real, and its holomorphic symmetries are exactly the order-n
-    rotations."""
+    are re-verified exactly: beta = -1 must solve the inversion identity
+    psi(z) * psi-bar(beta/z) = 1 of the rotation-form criterion, and
+    psi(z) = psi-bar(c z) must have no unimodular solution c.  The result
+    has degree 1 + n r, is pseudo-real, and its holomorphic symmetries
+    are exactly the order-n rotations."""
     coeffs = [CycloNum._coerce(c) for c in coeffs]
     if n < 6:
         raise ConditionViolationError("rotation order n must be at least 6")
@@ -60,6 +57,9 @@ def cyclic_pseudo_real_family(
     theta = CycloNum._coerce(theta)
     if not theta.is_unimodular():
         raise ConditionViolationError("theta parameter must be unimodular")
+    # with a_1 != 0 and psi of degree r below, no factor of psi cancels,
+    # so psi keeps its z^1 term and is never a function of z^m for m >= 2:
+    # the rotation group is exactly the order-n rotations
     if coeffs[1].is_zero() or coeffs[r].is_zero():
         raise ConditionViolationError("a_1 * a_r must be nonzero")
     prod = coeffs[0] * coeffs[r]
@@ -71,19 +71,11 @@ def cyclic_pseudo_real_family(
     psi = RationalMap.reduce(Poly(coeffs), Poly(antipodal_denominator(theta, coeffs)))
     if psi.degree != r:
         raise ConditionViolationError("psi degenerated under reduction")
-    # support condition: psi must not be a rational function of z^m
-    for mod in range(2, r + 1):
-        if _support_in_residue_class(psi, mod):
-            raise ConditionViolationError(
-                f"psi is a function of z^{mod}; rotation group would be larger"
-            )
-    # exact inversion identity: conj(P) * rev(P) == conj(Q) * rev(Q) encodes
-    # psi-bar(z) * psi(-1/z) = 1
+    # exact inversion identity psi(z) * psi-bar(-1/z) = 1: beta = -1 is a
+    # root of every polynomial that encodes psi(z) * psi-bar(beta/z) = 1
     minus_one = CycloNum.from_rational(-1)
-    p, q = psi.numer, psi.denom
-    lhs = p.conj() * p.reversed_twisted(minus_one, r)
-    rhs = q.conj() * q.reversed_twisted(minus_one, r)
-    if lhs != rhs:
+    eqs = _inversion_identity_polynomials(psi)
+    if any(not e.evaluate(minus_one).is_zero() for e in eqs):
         raise ConditionViolationError("inversion identity psi-bar(z) = 1/psi(-1/z) failed")
     # safety: the rotation-axis reflection must not exist
     if _rotation_conjugate_solvable(psi):

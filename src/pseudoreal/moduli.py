@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .classify import antipodal_denominator, antipodal_witness
 from .cyclotomic import CycloNum
 from .errors import BadDegreeError, ConditionViolationError, ResultantVanishesError
-from .polyring import Poly, poly_gcd
+from .polyring import Poly
 from .ratmap import RationalMap
 
 
@@ -37,17 +37,12 @@ def cyclic_locus_dimension(d: int, n: int) -> int | None:
     """Complex dimension of the locus of degree-d classes with an order-n
     rotation symmetry; None when the congruence d = -1, 0, 1 (mod n) fails.
 
-    The three congruence cases give 2(d-1)/n, (2d-n)/n and 2(d+1-n)/n;
-    when two congruences hold at once (n = 2, d odd) the values agree."""
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
-    values = []
-    if d % n == 1:
-        values.append(2 * (d - 1) // n)
-    if d % n == 0:
-        values.append((2 * d - n) // n)
-    if (d + 1) % n == 0:
-        values.append(2 * (d + 1 - n) // n)
+    Cases a, b and c of ``admissible_cyclic_params`` give 2r, 2r - 1 and
+    2r - 2; when two congruences hold at once (n = 2, d odd) they agree."""
+    values = [
+        {"a": 2 * r, "b": 2 * r - 1, "c": 2 * r - 2}[case]
+        for r, case in admissible_cyclic_params(d, n)
+    ]
     if not values:
         return None
     assert len(set(values)) == 1, f"congruence overlap disagrees at (d, n) = ({d}, {n})"
@@ -165,13 +160,12 @@ def antipodal_family(theta: CycloNum, coeffs) -> RationalMap:
     denom = Poly(antipodal_denominator(theta, coeffs))
     if numer.is_zero() or denom.is_zero():
         raise ResultantVanishesError("zero polynomial in the family")
-    # formal-degree-d resultant vanishes iff gcd is nonconstant or both
-    # leading coefficients vanish
-    if coeffs[d].is_zero() and coeffs[0].is_zero():
-        raise ResultantVanishesError("both formal leading coefficients vanish")
-    if poly_gcd(numer, denom).degree > 0:
-        raise ResultantVanishesError("numerator and denominator share a root")
     phi = RationalMap.reduce(numer, denom)
+    # the formal-degree-d resultant vanishes iff reduction lowers the
+    # degree: a shared finite root cancels, and a_0 = a_d = 0 (both formal
+    # leading coefficients vanish) puts a shared root at 0
+    if phi.degree < d:
+        raise ResultantVanishesError("numerator and denominator share a root")
     assert antipodal_witness(phi) is not None
     return phi
 

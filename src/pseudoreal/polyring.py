@@ -198,18 +198,6 @@ class Poly:
         """Coefficient-wise complex conjugation."""
         return Poly([c.conj() for c in self.coeffs], self.order)
 
-    def reversed_twisted(self, factor, formal_degree: int) -> "Poly":
-        """sum_k p_k * factor^k * z^(D-k); the numerator of z^D * p(factor/z)."""
-        if formal_degree < self.degree:
-            raise ValueError("formal degree below actual degree")
-        t = CycloNum._coerce(factor)
-        out = [CycloNum.zero(self.order)] * (formal_degree + 1)
-        tk = CycloNum.one(t.order)
-        for k, c in enumerate(self.coeffs):
-            out[formal_degree - k] = c * tk
-            tk = tk * t
-        return Poly(out, common_order(self.order, t.order))
-
     def scale_argument(self, factor) -> "Poly":
         """p(factor * z)."""
         t = CycloNum._coerce(factor)
@@ -232,17 +220,34 @@ class Poly:
             out += [0j] * (length - len(out))
         return out
 
-    def __repr__(self):
+    def to_expr(self) -> str:
+        """Expression-grammar text in z; re-parses to the same polynomial."""
         if self.is_zero():
-            return "Poly(0)"
-        terms = []
+            return "0"
+        parts = []
         for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                text = c.to_expr()
-                if "+" in text or text.startswith("-") and k > 0:
-                    text = f"({text})"
-                terms.append(text if k == 0 else f"({text})*z^{k}")
-        return "Poly(" + " + ".join(terms) + ")"
+            if c.is_zero():
+                continue
+            txt = c.to_expr()
+            needs_paren = ("+" in txt[1:]) or ("-" in txt[1:])
+            if k == 0:
+                parts.append(f"({txt})" if needs_paren else txt)
+                continue
+            z = "z" if k == 1 else f"z^{k}"
+            if c.is_one():
+                parts.append(z)
+            elif (-c).is_one():
+                parts.append(f"-{z}")
+            else:
+                coeff_txt = f"({txt})" if (needs_paren or txt.startswith("-")) else txt
+                parts.append(f"{coeff_txt}*{z}")
+        text = parts[0]
+        for t in parts[1:]:
+            text += t if t.startswith("-") else "+" + t
+        return text
+
+    def __repr__(self):
+        return f"Poly({self.to_expr()})"
 
 
 # -- gcd / resultant / squarefree machinery ------------------------------

@@ -222,8 +222,8 @@ class RationalMap:
         return cls.reduce(numer, denom)
 
     def to_expr(self) -> str:
-        num = _poly_expr(self.numer)
-        den = _poly_expr(self.denom)
+        num = self.numer.to_expr()
+        den = self.denom.to_expr()
         if self.denom.degree == 0 and self.denom.lead().is_one():
             return num
         return f"({num})/({den})"
@@ -258,28 +258,3 @@ def _homogeneous_substitute(p: Poly, u: Poly, v: Poly, formal_degree: int) -> Po
             acc = acc + v_pow.scale(coeffs[k])
     return acc
 
-
-def _poly_expr(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k, c in enumerate(p.coeffs):
-        if c.is_zero():
-            continue
-        txt = c.to_expr()
-        needs_paren = ("+" in txt[1:]) or ("-" in txt[1:])
-        if k == 0:
-            parts.append(f"({txt})" if needs_paren else txt)
-            continue
-        z = "z" if k == 1 else f"z^{k}"
-        if c.is_one():
-            parts.append(z)
-        elif (-c).is_one():
-            parts.append(f"-{z}")
-        else:
-            coeff_txt = f"({txt})" if (needs_paren or txt.startswith("-")) else txt
-            parts.append(f"{coeff_txt}*{z}")
-    text = parts[0]
-    for t in parts[1:]:
-        text += t if t.startswith("-") else "+" + t
-    return text

@@ -218,6 +218,9 @@ def test_canonicalize_folds_inverted_orientation():
     phi = rotation_form_map(rng, 3, psi)
     form = canonicalize_cyclic(phi, ExtendedMoebius.rotation(3, 1))
     assert form.case_tag == "b"
+    assert form.psi.to_expr() == "((-2+2*w(12,3))+(-1+w(12,3))*z)/(z)"
+    conj = form.conjugator
+    assert [e.to_expr() for e in (conj.a, conj.b, conj.c, conj.d)] == ["0", "1", "1", "0"]
     assert phi.conjugate_by(form.conjugator).equals_projective(form.canonical_map())
 
 

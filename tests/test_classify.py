@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,8 +17,10 @@ from pseudoreal import (
     solve_scalar_identity,
     verify_automorphism_exact,
 )
+from pseudoreal import autgrp
 from pseudoreal.autgrp import CanonicalCyclicForm
 from pseudoreal.classify import NO_ANTIHOLOMORPHIC, PSEUDO_REAL, REAL
+from pseudoreal.cyclotomic import _bezout, common_order
 from pseudoreal.errors import BadDegreeError, NotCertifiedError
 from pseudoreal.families import sample_degree13
 
@@ -324,3 +327,137 @@ def test_no_antiholomorphic_on_random_dense_maps():
         c = classify_map(phi, certify=False)
         assert c.verdict in (NO_ANTIHOLOMORPHIC, REAL)
         assert c.holo_kind == "Trivial"
+
+
+# -- the earlier copies of the rotation-form rules, kept as references --------
+
+
+def _ref_fold(relations):
+    """Relations x^delta = v folded to x^g = w, anchored by the caller."""
+    rels = [(d, v) if d >= 0 else (-d, v.inv()) for d, v in relations]
+    g, w = rels[0]
+    for delta, v in rels[1:]:
+        x, y = _bezout(g, delta)
+        w = (w ** x) * (v ** y)
+        g = math.gcd(g, delta)
+    for delta, v in rels:
+        if (w ** (delta // g) if g else CycloNum.one(v.order)) != v:
+            return None
+    return g, w
+
+
+def _ref_rotation_conjugate_solvable(psi):
+    """psi(z) = psi-bar(c z) for a unimodular c, merged by exponent."""
+    m = psi.field_order
+    by_k = {}
+    for poly in (psi.numer, psi.denom):
+        for k, coeff in enumerate(poly.rebase(m).coeffs):
+            if coeff.is_zero():
+                continue
+            w = coeff.conj() / coeff
+            if k in by_k and by_k[k] != w:
+                return False
+            by_k.setdefault(k, w)
+    ks = sorted(by_k)
+    w0 = by_k[ks[0]]
+    relations = [(k - ks[0], w0 / by_k[k]) for k in ks[1:]]
+    return not relations or _ref_fold(relations) is not None
+
+
+def _ref_reversed_twisted(p, factor, formal):
+    """sum_k p_k factor^k z^(formal - k)."""
+    out = [CycloNum.zero(p.order)] * (formal + 1)
+    tk = CycloNum.one(factor.order)
+    for k, c in enumerate(p.coeffs):
+        out[formal - k] = c * tk
+        tk = tk * factor
+    return Poly(out, common_order(p.order, factor.order))
+
+
+def _ref_inversion_identity(psi):
+    """psi-bar(z) * psi(-1/z) = 1 as conj(P) rev(P) = conj(Q) rev(Q)."""
+    minus_one = CycloNum.from_rational(-1)
+    p, q, r = psi.numer, psi.denom, psi.degree
+    return p.conj() * _ref_reversed_twisted(p, minus_one, r) == (
+        q.conj() * _ref_reversed_twisted(q, minus_one, r)
+    )
+
+
+def _ref_arg_scaled(poly, t, formal):
+    """Coefficients c_k t^(formal - k): the polynomial side of psi(u/t)."""
+    out = []
+    power = CycloNum.one(t.order)
+    coeffs = poly.padded(formal + 1)
+    for k in range(formal, -1, -1):
+        out.append(coeffs[k] * power)
+        power = power * t
+    return Poly(list(reversed(out)))
+
+
+def _ref_normalizer_action(psi, t, flip):
+    r = max(psi.numer.degree, psi.denom.degree)
+    scaled = RationalMap.reduce(
+        _ref_arg_scaled(psi.numer, t, r), _ref_arg_scaled(psi.denom, t, r)
+    )
+    return autgrp._flip_psi(scaled) if flip else scaled
+
+
+def _unit8(rng):
+    """A root of unity in Q(zeta_8)."""
+    return CycloNum.zeta(8, rng.randrange(8))
+
+
+def _oracle_psi(rng):
+    """psi of degree 1..4: Gaussian, unimodular Q(zeta_8) or family-rule."""
+    while True:
+        r = rng.randint(1, 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            numer = [gauss(rng) for _ in range(r)] + [nonzero_gauss(rng)]
+            denom = [gauss(rng) for _ in range(rng.randint(1, r + 1))]
+        elif kind == 1:
+            numer, denom = (
+                [_unit8(rng) * rng.randint(1, 3) if rng.random() < 0.6 else 0
+                 for _ in range(r + 1)]
+                for _ in range(2)
+            )
+        else:
+            numer = [gauss(rng) for _ in range(r + 1)]
+            denom = classify.antipodal_denominator(_unit8(rng), numer)
+        numer, denom = Poly(numer), Poly(denom)
+        if numer.is_zero() or denom.is_zero():
+            continue
+        psi = RationalMap.reduce(numer, denom)
+        if psi.degree >= 1:
+            return psi
+
+
+def _exact_key(poly):
+    return poly.order, [(c.order, c.num, c.den) for c in poly.coeffs]
+
+
+def test_rotation_form_rules_match_their_earlier_copies():
+    rng = random.Random(2024)
+    minus_one = CycloNum.from_rational(-1)
+    seen_solvable, seen_identity = set(), set()
+    for _ in range(300):
+        psi = _oracle_psi(rng)
+        solvable = classify._rotation_conjugate_solvable(psi)
+        assert solvable == _ref_rotation_conjugate_solvable(psi), psi
+        seen_solvable.add(solvable)
+        identity = all(
+            e.evaluate(minus_one).is_zero()
+            for e in classify._inversion_identity_polynomials(psi)
+        )
+        assert identity == _ref_inversion_identity(psi), psi
+        seen_identity.add(identity)
+        t = rng.choice([nonzero_gauss(rng), _unit8(rng) * rng.randint(1, 3),
+                        _unit8(rng) + 2, CycloNum.from_rational(2)])
+        flip = rng.random() < 0.5
+        got = autgrp.normalizer_action(psi, t, flip)
+        want = _ref_normalizer_action(psi, t, flip)
+        assert (_exact_key(got.numer), _exact_key(got.denom)) == (
+            _exact_key(want.numer), _exact_key(want.denom)
+        )
+        assert got.to_expr() == want.to_expr()
+    assert seen_solvable == {False, True} and seen_identity == {False, True}

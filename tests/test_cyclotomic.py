@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pseudoreal import CycloNum
-from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi, lift
+from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi, fold_power_relations, lift
 from pseudoreal.errors import NotASubfieldError
 
 from conftest import gauss
@@ -185,6 +185,26 @@ def test_lift_first_field_in_order_wins():
     assert got.order == 4 and got.coords == CycloNum.i().coords
     assert got.to_expr() == "i"
 
+
+
+def test_fold_power_relations_term_form():
+    i, w8 = CycloNum.i(), CycloNum.zeta(8)
+    # one term relates nothing: any nonzero x works
+    g, w = fold_power_relations([(3, i)])
+    assert g == 0 and w.is_one()
+    # v * x^e equal across terms: i x^1 = x^3 says x^2 = i
+    assert fold_power_relations([(1, i), (3, CycloNum.one(4))]) == (2, i)
+    # a repeated exponent folds when its values agree, and is
+    # inconsistent when they differ
+    assert fold_power_relations([(1, i), (3, CycloNum.one(4)), (1, i)]) == (2, i)
+    assert fold_power_relations([(1, i), (3, CycloNum.one(4)), (1, -i)]) is None
+    assert fold_power_relations([(2, i), (2, i)])[0] == 0
+    assert fold_power_relations([(2, i), (2, -i)]) is None
+    # x = zeta_16 makes v * x^e = 1 for these terms; anchored at e = 2 the
+    # differences are 4 and -2, and they fold to x^2 = zeta_8
+    terms = [(2, w8.inv()), (6, w8 ** -3), (0, CycloNum.one(8))]
+    assert fold_power_relations(terms) == (2, w8)
+    assert fold_power_relations(terms[:2] + [(0, w8)]) is None
 
 # -- oracle: schoolbook Fraction arithmetic over the power basis -------------
 #

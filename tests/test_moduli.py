@@ -125,6 +125,9 @@ def test_antipodal_family_round_trip():
 def test_antipodal_family_hypersurface_rejection():
     with pytest.raises(ResultantVanishesError):
         antipodal_family(CycloNum.one(4), [1, 1, 1, 1])
+    with pytest.raises(ResultantVanishesError):
+        # a_0 = a_3 = 0: both polynomials vanish at 0 and have degree < 3
+        antipodal_family(1, [0, 1, 1, 0])
     with pytest.raises(BadDegreeError):
         antipodal_family(CycloNum.one(4), [1, 1, 1])
     with pytest.raises(ConditionViolationError):

@@ -232,3 +232,25 @@ def test_roots_numeric_rejects_nonfinite_roots():
     assert phi.degree == 21
     with pytest.raises(ConvergenceFailureError):
         roots_numeric(phi.critical_polynomial())
+
+
+def test_reprs_show_the_expression_text():
+    from pseudoreal import RationalMap, silverman
+    from pseudoreal.cli import parse_map_expr
+
+    i = CycloNum.i()
+    assert repr(CycloNum.zeta(8, 3) * 3) == "CycloNum(8, '3*w(8,3)')"
+    p = Poly([1, i, 0, 1 - 2 * i])
+    assert repr(p) == "Poly(1+i*z+(1-2*i)*z^3)"
+    assert repr(Poly.zero()) == "Poly(0)"
+    assert repr(silverman(3)) == (
+        "RationalMap((-i+3*i*z+(-3*i)*z^2+i*z^3)/(1+3*z+3*z^2+z^3), degree=3)"
+    )
+    assert repr(RationalMap.reduce(p, Poly.one())) == f"RationalMap({p.to_expr()}, degree=3)"
+    assert repr(ExtendedMoebius(i, 1, 0, 1)) == "ExtendedMoebius([[i, 1], [0, 1]], holo)"
+    numeric = ExtendedMoebius(0.5j, 1, 0, 2, antiholo=True)
+    assert repr(numeric) == "ExtendedMoebius([[0+0.5j, 1+0j], [0+0j, 2+0j]], antiholo)"
+    # the text is the expression grammar: it parses back to the polynomial
+    w8 = CycloNum.zeta(8)
+    for q in (p, Poly([0, -1]), Poly([Fraction(-1, 3), 0, w8 + 1, -w8]), Poly([-i])):
+        assert parse_map_expr(q.to_expr()).numer == q

@@ -5,20 +5,23 @@ import types
 
 import pseudoreal
 
-# names removed because they only renamed a method or only tests called
-# them, by the module that used to define them
+# names removed because they only renamed a method, only tests called them,
+# they repeated another routine or could not change a result, by the module
+# that used to define them
 DELETED = {
     "pseudoreal": ("conj", "field_arith", "is_unimodular", "rebase", "root_of_unity"),
     "pseudoreal.cyclotomic": ("conj", "field_arith", "is_unimodular", "rebase", "root_of_unity"),
     "pseudoreal.errors": ("FieldMismatchError",),
     "pseudoreal.polyring": ("divides_exactly",),
-    "pseudoreal.autgrp": ("_near", "_proportional"),
+    "pseudoreal.autgrp": ("_arg_scaled", "_near", "_proportional"),
     "pseudoreal.cli": ("_split_top_level",),
+    "pseudoreal.families": ("_support_in_residue_class",),
+    "pseudoreal.ratmap": ("_poly_expr",),
 }
 DELETED_MEMBERS = {
     ("pseudoreal.ratmap", "LabeledPoint"): ("is_critical",),
     ("pseudoreal.ratmap", "RationalMap"): ("_infinity_fixed_multiplicity",),
-    ("pseudoreal.polyring", "Poly"): ("evaluate_complex",),
+    ("pseudoreal.polyring", "Poly"): ("evaluate_complex", "reversed_twisted"),
     ("pseudoreal.autgrp", "AutGroupReport"): ("holo_order",),
 }
 
