@@ -453,10 +453,12 @@ def _lift_holo_via_fixed_points(
 
 def _pivot_scaled(g: ExtendedMoebius):
     """(j, entries / entry j) for a numeric g, where entry j is the first
-    entry above half the largest: the values a matrix lift starts from."""
+    entry above half the largest: the values a matrix lift starts from.
+    An entry of exactly half the largest counts as above, with a relative
+    margin of 1e-6, so rounding cannot move the pivot off a tie."""
     entries = (g.a, g.b, g.c, g.d)
     top = max(abs(e) for e in entries)
-    j = next(i for i, e in enumerate(entries) if abs(e) > 0.5 * top)
+    j = next(i for i, e in enumerate(entries) if abs(e) > 0.5 * top * (1 - 1e-6))
     return j, tuple(e / entries[j] for e in entries)
 
 

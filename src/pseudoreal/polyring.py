@@ -9,7 +9,10 @@ Exact operations: ring arithmetic, divmod, monic gcd, Yun squarefree
 decomposition, Sylvester resultants at explicit formal degrees, z -> z^n
 substitution and coefficient conjugation.  Numeric roots come from an
 Aberth-Ehrlich simultaneous iteration run on each squarefree factor, so
-multiple roots never degrade the attained accuracy.
+multiple roots never degrade the attained accuracy (Bini, Numer.
+Algorithms 13, 1996).  The iteration, the Newton polish and the residual
+check run on numpy arrays: one update per iteration moves all roots of a
+factor, and p and p' come from one fused Horner recurrence.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BothZeroError, ConvergenceFailureError
@@ -356,19 +361,37 @@ def resultant(p: Poly, q: Poly, deg_p: int | None = None, deg_q: int | None = No
 # -- numeric roots ---------------------------------------------------------
 
 
-def horner(coeffs: list[complex], z: complex) -> complex:
-    """Value at z of the polynomial with ascending complex coefficients."""
+def horner(coeffs: list[complex], z):
+    """Value at z (a complex or an array of them) of the polynomial with
+    ascending complex coefficients."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 
 
-def _aberth(coeffs: list[complex], max_iter: int = 400) -> list[complex]:
-    """All roots of a squarefree complex polynomial (ascending coeffs)."""
+def _value_and_derivative(coeffs: list[complex], z: np.ndarray):
+    """(p(z), p'(z)) for an array z, by one fused Horner recurrence."""
+    p = np.empty_like(z)
+    p.fill(coeffs[-1])
+    d = np.zeros(len(z), dtype=complex)
+    for c in coeffs[-2::-1]:
+        d *= z
+        d += p
+        p *= z
+        p += c
+    return p, d
+
+
+def _aberth(coeffs: list[complex], max_iter: int = 400) -> np.ndarray:
+    """All roots of a squarefree complex polynomial (ascending coeffs).
+
+    Each iteration moves every root at once (a total step): the Aberth
+    correction of root j is built from the roots of the previous iteration.
+    Steps that are NaN do not count toward the stopping test."""
     n = len(coeffs) - 1
     if n == 1:
-        return [-coeffs[0] / coeffs[1]]
+        return np.array([-coeffs[0] / coeffs[1]])
     lead = coeffs[-1]
     a = [c / lead for c in coeffs]
     if n == 2:
@@ -377,39 +400,48 @@ def _aberth(coeffs: list[complex], max_iter: int = 400) -> list[complex]:
         # pair the subtraction to avoid cancellation
         r1 = (-b - disc) / 2 if abs(b + disc) < abs(b - disc) else (-b + disc) / 2
         r2 = c / r1 if r1 != 0 else -b - r1
-        return [r1, r2]
+        return np.array([r1, r2])
     radius = 1.0 + max(abs(c) for c in a[:-1])
-    roots = [
-        0.9 * radius * cmath.exp(2j * math.pi * (k / n + 0.2632))
-        for k in range(n)
-    ]
-    deriv = [k * a[k] for k in range(1, n + 1)]
-    for _ in range(max_iter):
-        moved = 0.0
-        new = list(roots)
-        for j, z in enumerate(roots):
-            pz = horner(a, z)
-            dz = horner(deriv, z)
-            if dz == 0:
-                new[j] = z * (1 + 1e-8) + 1e-8
-                moved = math.inf
-                continue
+    roots = np.array(
+        [0.9 * radius * cmath.exp(2j * math.pi * (k / n + 0.2632)) for k in range(n)]
+    )
+    # overflow on a badly scaled factor ends in NaN roots, which roots_numeric
+    # rejects, not in a warning
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            pz, dz = _value_and_derivative(a, roots)
+            diff = roots[:, None] - roots
+            diff[diff == 0] = 1e-20
+            recip = 1.0 / diff
+            recip.flat[:: n + 1] = 0
+            # sum_k 1/(z_j - z_k), added in index order as a scalar loop would
+            s = recip.cumsum(axis=1)[:, -1]
             w = pz / dz
-            s = 0j
-            for k, other in enumerate(roots):
-                if k != j:
-                    diff = z - other
-                    if diff == 0:
-                        diff = 1e-20
-                    s += 1.0 / diff
             denom = 1.0 - w * s
-            step = w / denom if denom != 0 else w
-            new[j] = z - step
-            moved = max(moved, abs(step) / (1.0 + abs(z)))
-        roots = new
-        if moved < 1e-15:
-            break
+            step = np.where(denom != 0, w / denom, w)
+            moved = np.abs(step) / (1.0 + np.abs(roots))
+            new = roots - step
+            # a zero derivative nudges the root and forces another iteration
+            stuck = dz == 0
+            if stuck.any():
+                new[stuck] = roots[stuck] * (1 + 1e-8) + 1e-8
+                moved[stuck] = np.inf
+            roots = new
+            if np.fmax.reduce(moved, initial=0.0) < 1e-15:
+                break
     return roots
+
+
+def _newton_polish(coeffs: list[complex], z: np.ndarray) -> np.ndarray:
+    """Three Newton steps on every root of z; a root stops at a zero
+    derivative."""
+    live = np.ones(len(z), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            pz, dz = _value_and_derivative(coeffs, z)
+            live &= dz != 0
+            z = np.where(live, z - pz / dz, z)
+    return z
 
 
 def roots_numeric(p: Poly) -> list[tuple[complex, int]]:
@@ -417,9 +449,9 @@ def roots_numeric(p: Poly) -> list[tuple[complex, int]]:
 
     The exact squarefree decomposition is computed first and the Aberth
     iteration runs on each (simple-rooted) factor, so clustered output
-    stays accurate even at high multiplicity.  Raises ConvergenceFailure
-    if any root is not finite or any residual exceeds
-    ROOT_TOL * (1 + sum_k |c_k| |root|^k).
+    stays accurate even at high multiplicity.  The roots are Python
+    complex numbers.  Raises ConvergenceFailureError if any root is not
+    finite or any residual exceeds ROOT_TOL * (1 + sum_k |c_k| |root|^k).
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -434,41 +466,31 @@ def roots_numeric(p: Poly) -> list[tuple[complex, int]]:
         if t:
             out.append((0j, t * mult))
         if len(cs) > 1:
-            for r in _aberth(cs):
-                out.append((_polish(cs, r), mult))
+            out.extend((r, mult) for r in _newton_polish(cs, _aberth(cs)).tolist())
+    roots = np.array([root for root, _ in out])
     # a NaN root would pass the residual test below, since nan > bound is False
-    nonfinite = [(root, math.nan) for root, _ in out if not cmath.isfinite(root)]
-    if nonfinite:
+    finite = np.isfinite(roots)
+    if not finite.all():
+        nonfinite = [(root, math.nan) for (root, _), ok in zip(out, finite) if not ok]
         raise ConvergenceFailureError(
             f"{len(nonfinite)} root(s) not finite", residuals=nonfinite
         )
     coeffs = p.to_complex_coeffs()
-    abs_coeffs = [abs(c) for c in coeffs]
-    bad = []
-    for root, _ in out:
-        res = abs(horner(coeffs, root))
+    with np.errstate(all="ignore"):
+        res = np.abs(horner(coeffs, roots))
         # backward-error scale: evaluating p at z is only conditioned to
         # sum |c_k| |z|^k, so the flat max-coefficient bound is unattainable
         # for roots far outside the unit disc
-        cond = 0.0
-        power = 1.0
-        for a in abs_coeffs:
-            cond += a * power
-            power *= abs(root)
-        if res > ROOT_TOL * (1.0 + cond):
-            bad.append((root, res))
-    if bad:
+        size = np.abs(roots)
+        cond = np.zeros(len(roots))
+        power = np.ones(len(roots))
+        for c in coeffs:
+            cond += abs(c) * power
+            power *= size
+        above = res > ROOT_TOL * (1.0 + cond)
+    if above.any():
+        bad = [(root, r) for (root, _), r, hit in zip(out, res.tolist(), above) if hit]
         raise ConvergenceFailureError(
             f"{len(bad)} root(s) above residual tolerance", residuals=bad
         )
     return out
-
-
-def _polish(cs: list[complex], z: complex, rounds: int = 3) -> complex:
-    deriv = [k * c for k, c in enumerate(cs)][1:]
-    for _ in range(rounds):
-        d = horner(deriv, z)
-        if d == 0:
-            break
-        z = z - horner(cs, z) / d
-    return z

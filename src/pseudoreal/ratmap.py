@@ -17,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, DegenerateSetError, ZeroMapError
 from .moebius import ExtendedMoebius
 from .polyring import Poly, poly_gcd, roots_numeric
-from .sphere import INF, chordal, is_inf
+from .sphere import INF, homog, is_inf
 
 
 class RationalMap:
@@ -149,13 +151,22 @@ class RationalMap:
         if self.degree < 2:
             raise BadDegreeError("distinguished set needs degree >= 2")
         merged: list[list] = []  # [point, fixed_mult, crit_mult]
+        # unit homogeneous pair of each entry; d + 1 fixed and 2d - 2
+        # critical points counted with multiplicity bound the entries
+        pairs = np.empty((3 * self.degree - 1, 2), dtype=complex)
 
         def add(point, fixed_mult=0, crit_mult=0):
-            for entry in merged:
-                if chordal(entry[0], point) <= 1e-8:
-                    entry[1] += fixed_mult
-                    entry[2] += crit_mult
-                    return
+            x, y = homog(point)
+            n = len(merged)
+            # chordal distance |x1*y2 - x2*y1| to every entry; the first
+            # entry within 1e-8 takes the labels
+            near = np.flatnonzero(np.abs(pairs[:n, 0] * y - x * pairs[:n, 1]) <= 1e-8)
+            if near.size:
+                entry = merged[near[0]]
+                entry[1] += fixed_mult
+                entry[2] += crit_mult
+                return
+            pairs[n] = x, y
             merged.append([point, fixed_mult, crit_mult])
 
         fixed_poly = self.fixed_point_polynomial()

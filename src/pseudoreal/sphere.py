@@ -53,9 +53,3 @@ def homog(p) -> tuple[complex, complex]:
     norm = math.hypot(abs(z), 1.0)
     return (z / norm, 1.0 / norm + 0j)
 
-
-def chordal(p, q) -> float:
-    """Chordal distance between numeric sphere points, in [0, sqrt(2)]."""
-    x1, y1 = p if isinstance(p, tuple) else homog(p)
-    x2, y2 = q if isinstance(q, tuple) else homog(q)
-    return abs(x1 * y2 - x2 * y1)

@@ -438,3 +438,20 @@ def test_fixed_points_fall_back_to_an_exact_square_root(monkeypatch):
     half, w = Fraction(1, 2), CycloNum.zeta(8, 1)
     expected = [(1 + 3 * w) * half, (1 - 3 * w) * half]
     assert [p, q] in (expected, expected[::-1])
+
+
+def test_pivot_holds_on_an_exact_tie():
+    # |a| is exactly half the largest entry |b|: rounding of either sign
+    # must leave the pivot on a, so the lifted element prints one way
+    i = CycloNum.i()
+    exact = (1, Fraction(-6, 5) - Fraction(8, 5) * i, Fraction(27, 25) + Fraction(36, 25) * i,
+             Fraction(7, 25) - Fraction(24, 25) * i)
+    values = [CycloNum._coerce(e).to_complex() for e in exact]
+    assert abs(values[0]) == 0.5 * max(abs(v) for v in values)
+    rng = random.Random(1205)
+    for _ in range(500):
+        scale = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        entries = [v * scale * (1 + rng.uniform(-1e-12, 1e-12)) for v in values]
+        j, scaled = autgrp._pivot_scaled(ExtendedMoebius(*entries))
+        assert j == 0
+        assert abs(scaled[1] - values[1]) < 1e-9

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ from pseudoreal import (
     roots_numeric,
     squarefree_decomposition,
 )
-from pseudoreal.errors import BothZeroError, ConvergenceFailureError
+from pseudoreal.errors import BothZeroError, ConditionViolationError, ConvergenceFailureError
 from pseudoreal.polyring import ROOT_TOL, horner
 
 from conftest import gauss, random_poly
@@ -232,6 +234,140 @@ def test_roots_numeric_rejects_nonfinite_roots():
     assert phi.degree == 21
     with pytest.raises(ConvergenceFailureError):
         roots_numeric(phi.critical_polynomial())
+
+
+# the scalar root finder that the array iteration replaced, kept as an
+# oracle: one Python loop per root, Horner on p and on p' separately
+
+
+def _scalar_aberth(coeffs, max_iter=400):
+    n = len(coeffs) - 1
+    if n == 1:
+        return [-coeffs[0] / coeffs[1]]
+    lead = coeffs[-1]
+    a = [c / lead for c in coeffs]
+    if n == 2:
+        b, c = a[1], a[0]
+        disc = cmath.sqrt(b * b - 4 * c)
+        r1 = (-b - disc) / 2 if abs(b + disc) < abs(b - disc) else (-b + disc) / 2
+        r2 = c / r1 if r1 != 0 else -b - r1
+        return [r1, r2]
+    radius = 1.0 + max(abs(c) for c in a[:-1])
+    roots = [0.9 * radius * cmath.exp(2j * math.pi * (k / n + 0.2632)) for k in range(n)]
+    deriv = [k * a[k] for k in range(1, n + 1)]
+    for _ in range(max_iter):
+        moved = 0.0
+        new = list(roots)
+        for j, z in enumerate(roots):
+            pz = horner(a, z)
+            dz = horner(deriv, z)
+            if dz == 0:
+                new[j] = z * (1 + 1e-8) + 1e-8
+                moved = math.inf
+                continue
+            w = pz / dz
+            s = 0j
+            for k, other in enumerate(roots):
+                if k != j:
+                    diff = z - other
+                    if diff == 0:
+                        diff = 1e-20
+                    s += 1.0 / diff
+            denom = 1.0 - w * s
+            step = w / denom if denom != 0 else w
+            new[j] = z - step
+            moved = max(moved, abs(step) / (1.0 + abs(z)))
+        roots = new
+        if moved < 1e-15:
+            break
+    return roots
+
+
+def _scalar_polish(cs, z, rounds=3):
+    deriv = [k * c for k, c in enumerate(cs)][1:]
+    for _ in range(rounds):
+        d = horner(deriv, z)
+        if d == 0:
+            break
+        z = z - horner(cs, z) / d
+    return z
+
+
+def _scalar_roots(p, factors):
+    out = []
+    for factor, mult in factors:
+        cs = factor.to_complex_coeffs()
+        t = 0
+        while abs(cs[0]) == 0.0 and len(cs) > 1:
+            cs.pop(0)
+            t += 1
+        if t:
+            out.append((0j, t * mult))
+        if len(cs) > 1:
+            out += [(_scalar_polish(cs, r), mult) for r in _scalar_aberth(cs)]
+    assert all(cmath.isfinite(r) for r, _ in out)
+    coeffs = p.to_complex_coeffs()
+    for root, _ in out:
+        cond = 0.0
+        power = 1.0
+        for c in coeffs:
+            cond += abs(c) * power
+            power *= abs(root)
+        assert abs(horner(coeffs, root)) <= ROOT_TOL * (1.0 + cond)
+    return out
+
+
+def _zeta8_poly(rng, degree):
+    def coeff():
+        return CycloNum(8, [rng.randint(-2, 2) for _ in range(4)])
+
+    lead = coeff()
+    while lead.is_zero():
+        lead = coeff()
+    return Poly([coeff() for _ in range(degree)] + [lead])
+
+
+def _oracle_polys():
+    """Seeded squarefree polynomials over Q(i) and Q(zeta_8) of degree 3-16,
+    and the Wronskians and fixed-point polynomials of seeded rotation-family
+    maps, of degree up to 80."""
+    rng = random.Random(1203)
+    polys = []
+    for k in range(200):
+        degree = rng.randint(3, 16 if k % 4 == 0 else 8)
+        polys.append(random_poly(rng, degree) if k % 2 else _zeta8_poly(rng, degree))
+    for n, r in ((6, 2), (8, 2), (10, 2), (6, 4), (10, 4)):
+        while True:
+            coeffs = [gauss(rng, 2) for _ in range(r + 1)]
+            try:
+                phi = cyclic_pseudo_real_family(n, r, CycloNum.i(), coeffs)
+                break
+            except ConditionViolationError:
+                continue
+        polys += [phi.critical_polynomial(), phi.fixed_point_polynomial()]
+    return polys
+
+
+def test_array_aberth_matches_the_scalar_iteration():
+    polys = _oracle_polys()
+    assert max(p.degree for p in polys) == 80
+    squarefree = 0
+    for p in polys:
+        factors = squarefree_decomposition(p)
+        squarefree += [m for _, m in factors] == [1]
+        ours = roots_numeric(p)
+        assert all(type(r) is complex for r, _ in ours)
+        assert sum(m for _, m in ours) == p.degree
+        reference = _scalar_roots(p, factors)
+        assert len(ours) == len(reference)
+        # one to one: each reference root takes the nearest unused root
+        unused = list(ours)
+        for r, mult in reference:
+            k = min(range(len(unused)), key=lambda j: abs(unused[j][0] - r))
+            root, m = unused.pop(k)
+            assert m == mult
+            assert abs(root - r) <= 1e-9 * (1 + abs(r)), (p, r, root)
+    assert squarefree >= 200
 
 
 def test_reprs_show_the_expression_text():

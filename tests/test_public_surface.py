@@ -12,7 +12,8 @@ DELETED = {
     "pseudoreal": ("conj", "field_arith", "is_unimodular", "rebase", "root_of_unity"),
     "pseudoreal.cyclotomic": ("conj", "field_arith", "is_unimodular", "rebase", "root_of_unity"),
     "pseudoreal.errors": ("FieldMismatchError",),
-    "pseudoreal.polyring": ("divides_exactly",),
+    "pseudoreal.polyring": ("_polish", "divides_exactly"),
+    "pseudoreal.sphere": ("chordal",),
     "pseudoreal.autgrp": ("_arg_scaled", "_near", "_proportional"),
     "pseudoreal.cli": ("_split_top_level",),
     "pseudoreal.families": ("_support_in_residue_class",),

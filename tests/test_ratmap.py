@@ -3,9 +3,12 @@ import random
 import pytest
 
 from pseudoreal import INF, CycloNum, ExtendedMoebius, Poly, RationalMap, silverman
+from pseudoreal.polyring import roots_numeric
+from pseudoreal.ratmap import LabeledPoint
+from pseudoreal.sphere import homog
 from pseudoreal.errors import ZeroMapError
 
-from conftest import gauss, random_map, random_moebius
+from conftest import gauss, random_map, random_moebius, rotation_form_map
 
 
 def z():
@@ -160,6 +163,58 @@ def test_distinguished_points_ratio_map():
     crit_pts = [p.point for p in phi.distinguished_points() if p.crit_mult > 0]
     assert any(p is INF for p in crit_pts)
     assert any(p is not INF and abs(p) < 1e-9 for p in crit_pts)
+
+
+def _merged_by_pairwise_distances(phi):
+    """The distinguished set as the scalar loop built it: one chordal
+    distance per (new point, entry) pair, merged into the first entry
+    within 1e-8."""
+    merged = []
+
+    def add(point, fixed_mult=0, crit_mult=0):
+        x2, y2 = homog(point)
+        for entry in merged:
+            x1, y1 = homog(entry[0])
+            if abs(x1 * y2 - x2 * y1) <= 1e-8:
+                entry[1] += fixed_mult
+                entry[2] += crit_mult
+                return
+        merged.append([point, fixed_mult, crit_mult])
+
+    fixed_poly = phi.fixed_point_polynomial()
+    if fixed_poly.degree >= 1:
+        for root, mult in roots_numeric(fixed_poly):
+            add(root, fixed_mult=mult)
+    inf_fix = phi.infinity_fixed_multiplicity(fixed_poly)
+    if inf_fix:
+        add(INF, fixed_mult=inf_fix)
+    crit_poly = phi.critical_polynomial()
+    if crit_poly.degree >= 1:
+        for root, mult in roots_numeric(crit_poly):
+            add(root, crit_mult=mult)
+    inf_crit = 2 * phi.degree - 2 - crit_poly.degree
+    if inf_crit > 0:
+        add(INF, crit_mult=inf_crit)
+    return [LabeledPoint(*e) for e in merged]
+
+
+def test_distinguished_points_match_the_pairwise_loop():
+    rng = random.Random(1207)
+    maps = [silverman(d) for d in (3, 5, 7)]
+    maps.append(RationalMap.reduce(z() ** 3, one()))
+    maps.append(RationalMap.reduce(z() * z() + one(), z() * z() - one()))
+    maps += [random_map(rng, rng.randint(2, 6)) for _ in range(12)]
+    for n in (2, 3, 4):
+        psi = RationalMap.reduce(Poly([gauss(rng), 1]), Poly([1, gauss(rng)]))
+        maps.append(rotation_form_map(rng, n, psi))
+    maps += [phi.conjugate_by(random_moebius(rng)) for phi in maps[:6]]
+    merges = 0
+    for phi in maps:
+        pts = phi.distinguished_points()
+        assert pts == _merged_by_pairwise_distances(phi)
+        merges += sum(1 for p in pts if p.fixed_mult and p.crit_mult)
+    # fixed critical points exercise the merge branch
+    assert merges > 0
 
 
 def test_fixed_point_count_with_multiplicity():
