@@ -5,10 +5,11 @@ found once per report: every (anti)holomorphic automorphism permutes S and
 preserves the multiplicity labels, so fixing one source triple in S and
 enumerating label-compatible ordered target triples is a complete
 candidate generator.  The source triple comes from the rarest labels,
-which keeps the target triples few.  Candidates are filtered by whether
-they map all of S into S (vectorized over numpy), and the few survivors
-are confirmed by projective comparison of the conjugated coefficient
-vector.
+which keeps the target triples few.  The projective primitives come from
+``moebius``: ``three_point_matrix`` builds every candidate at once on numpy
+arrays, the chordal cross product filters them by whether they map all of
+S into S, and ``proj_sine`` between phi's coefficient vector and the
+conjugated one confirms the few survivors.
 
 Confirmed numeric elements can then be certified.  Every float-to-exact
 step here (matrix entries, fixed points, square roots, roots of unity)
@@ -46,7 +47,15 @@ from .errors import (
     OrderMismatchError,
     SearchBoundExceededError,
 )
-from .moebius import ExtendedMoebius, _three_point_rows, proj_distance
+from .moebius import (
+    ExtendedMoebius,
+    _cross,
+    _homog_pairs,
+    pivot_index,
+    proj_distance,
+    proj_sine,
+    three_point_matrix,
+)
 from .polyring import ROOT_TOL, Poly
 from .ratmap import LabeledPoint, RationalMap, _homogeneous_substitute
 from .sphere import INF, conj_point, homog, is_inf
@@ -105,42 +114,19 @@ class AutGroupReport:
 
 
 def _numeric_conjugated_coeffs(p, q, mat, antiholo, formal_deg):
-    """Coefficient vectors of g o phi o g^(-1) from complex data."""
+    """Coefficient vectors of g o phi o g^(-1) from complex data: the Horner
+    of ``ratmap._homogeneous_substitute`` with u = d z - b and v = a - c z,
+    each product with a linear factor one ``np.convolve``."""
     if antiholo:
-        p = [x.conjugate() for x in p]
-        q = [x.conjugate() for x in q]
+        p, q = np.conj(p), np.conj(q)
     a, b, c, d = mat
-
-    def mul_linear(coeffs, e0, e1):
-        out = [0j] * (len(coeffs) + 1)
-        for k, x in enumerate(coeffs):
-            out[k] += x * e0
-            out[k + 1] += x * e1
-        return out
-
-    acc_p = [p[formal_deg]]
-    acc_q = [q[formal_deg]]
-    v_pow = [1.0 + 0j]
+    u, v = (-b, d), (a, -c)
+    acc_p, acc_q, v_pow = p[formal_deg:], q[formal_deg:], np.ones(1, dtype=complex)
     for k in range(formal_deg - 1, -1, -1):
-        v_pow = mul_linear(v_pow, a, -c)
-        acc_p = mul_linear(acc_p, -b, d)
-        acc_q = mul_linear(acc_q, -b, d)
-        for idx, vc in enumerate(v_pow):
-            acc_p[idx] += p[k] * vc
-            acc_q[idx] += q[k] * vc
-    new_p = [a * x + b * y for x, y in zip(acc_p, acc_q)]
-    new_q = [c * x + d * y for x, y in zip(acc_p, acc_q)]
-    return new_p, new_q
-
-
-def _projective_residual(vec_new, vec_old) -> float:
-    """Relative distance between coefficient vectors up to one scalar."""
-    num = sum(x * y.conjugate() for x, y in zip(vec_new, vec_old))
-    den = sum(abs(y) ** 2 for y in vec_old)
-    s = num / den
-    err = math.sqrt(sum(abs(x - s * y) ** 2 for x, y in zip(vec_new, vec_old)))
-    norm = math.sqrt(sum(abs(x) ** 2 for x in vec_new))
-    return err / norm if norm else 0.0
+        v_pow = np.convolve(v_pow, v)
+        acc_p = np.convolve(acc_p, u) + p[k] * v_pow
+        acc_q = np.convolve(acc_q, u) + q[k] * v_pow
+    return a * acc_p + b * acc_q, c * acc_p + d * acc_q
 
 
 def _search_orientation(phi: RationalMap, antiholo: bool, points: list[LabeledPoint] | None):
@@ -171,7 +157,6 @@ def _search_orientation(phi: RationalMap, antiholo: bool, points: list[LabeledPo
     src_points = [conj_point(lp.point) for lp in sources] if antiholo else [
         lp.point for lp in sources
     ]
-    gs = _three_point_rows(src_points)
 
     # ordered target triples compatible with the source labels
     sets = [np.array(classes[lp.label], dtype=int) for lp in sources]
@@ -182,23 +167,9 @@ def _search_orientation(phi: RationalMap, antiholo: bool, points: list[LabeledPo
     )
     tri = tri[distinct]
 
-    p, q, r = H[tri[:, 0]], H[tri[:, 1]], H[tri[:, 2]]
-    cr_qr = q[:, 0] * r[:, 1] - r[:, 0] * q[:, 1]
-    cr_qp = q[:, 0] * p[:, 1] - p[:, 0] * q[:, 1]
-    g00 = cr_qr * p[:, 1]
-    g01 = -cr_qr * p[:, 0]
-    g10 = cr_qp * r[:, 1]
-    g11 = -cr_qp * r[:, 0]
-    # candidate = adj(G_target) . G_source
-    cand = np.stack(
-        [
-            g11 * gs[0][0] - g01 * gs[1][0],
-            g11 * gs[0][1] - g01 * gs[1][1],
-            -g10 * gs[0][0] + g00 * gs[1][0],
-            -g10 * gs[0][1] + g00 * gs[1][1],
-        ],
-        axis=1,
-    )
+    # one candidate per target triple; its coordinates are arrays over them
+    targets = H[tri].transpose(1, 2, 0)
+    cand = np.stack(three_point_matrix(_homog_pairs(src_points), targets), axis=1)
     norms = np.sqrt((np.abs(cand) ** 2).sum(axis=1))
     good = norms > 0
     cand = cand[good] / norms[good, None]
@@ -218,22 +189,26 @@ def _search_orientation(phi: RationalMap, antiholo: bool, points: list[LabeledPo
         scale[scale == 0] = 1.0
         x, y = x / scale, y / scale
         cls = H[np.array(classes[lp.label], dtype=int)]
-        dist = np.abs(x[:, None] * cls[None, :, 1] - y[:, None] * cls[None, :, 0])
+        # chordal distance from each candidate's image to each class point
+        dist = np.abs(_cross((x[:, None], y[:, None]), cls.T[:, None, :]))
         alive = alive[dist.min(axis=1) <= PROBE_TOL]
 
     # confirm survivors on the coefficient vector
     d = phi.degree
-    p_c = phi.numer.to_complex_coeffs(d + 1)
-    q_c = phi.denom.to_complex_coeffs(d + 1)
-    vec_old = p_c + q_c
+    p_c = np.array(phi.numer.to_complex_coeffs(d + 1))
+    q_c = np.array(phi.denom.to_complex_coeffs(d + 1))
+    vec_old = np.concatenate([p_c, q_c])
     found: list[ExtendedMoebius] = []
+    kept = []  # the entries of each element found
     for row in cand[alive]:
         mat = tuple(complex(v) for v in row)
         new_p, new_q = _numeric_conjugated_coeffs(p_c, q_c, mat, antiholo, d)
-        if _projective_residual(new_p + new_q, vec_old) <= MATCH_TOL:
+        if proj_sine(np.concatenate([new_p, new_q]), vec_old) <= MATCH_TOL:
             g = ExtendedMoebius(*mat, antiholo=antiholo).normalized()
-            if not any(proj_distance(g, h) <= DEDUP_TOL for h in found):
+            entries = (g.a, g.b, g.c, g.d)
+            if not kept or proj_sine(entries, kept).min() > DEDUP_TOL:
                 found.append(g)
+                kept.append(entries)
     return found
 
 
@@ -264,8 +239,8 @@ def antiholomorphic_automorphisms(
 def _product_table(elements: list[ExtendedMoebius]) -> tuple[list[list[int]], float]:
     """(table, defect): ``table[i][j]`` is the index of the element of the
     orientation of elements[i] o elements[j] nearest to that product, and
-    ``defect`` the largest such distance, measured as ``proj_distance``
-    measures it; inf when an orientation has no element."""
+    ``defect`` the largest such distance, measured by ``proj_sine``; inf
+    when an orientation has no element."""
     anti = np.array([g.antiholo for g in elements])
     mats = np.array([(h.a, h.b, h.c, h.d) for h in map(ExtendedMoebius.to_numeric, elements)])
     mats /= np.linalg.norm(mats, axis=1)[:, None]
@@ -278,10 +253,7 @@ def _product_table(elements: list[ExtendedMoebius]) -> tuple[list[list[int]], fl
     cos = np.abs(prod @ mats.conj().T)
     cos[prod_anti[..., None] != anti] = -1.0
     table = cos.argmax(axis=2)
-    # the orthogonal part keeps the digits that 1 - cos^2 loses
-    near = mats[table]
-    resid = prod - (prod * near.conj()).sum(axis=2, keepdims=True) * near
-    dist = np.where(anti[table] == prod_anti, np.linalg.norm(resid, axis=2), np.inf)
+    dist = np.where(anti[table] == prod_anti, proj_sine(prod, mats[table]), np.inf)
     return table.tolist(), float(dist.max())
 
 
@@ -335,19 +307,6 @@ def closure_defect(elements: list[ExtendedMoebius]) -> float:
     return _product_table(elements)[1]
 
 
-def _form_value(p: Poly, x: CycloNum, y: CycloNum, formal_degree: int) -> CycloNum:
-    """sum_k p_k x^k y^(D-k), the degree-D form of p at (x, y)."""
-    coeffs = p.padded(formal_degree + 1)
-    acc = coeffs[formal_degree]
-    y_pow = CycloNum.one(y.order)
-    for k in range(formal_degree - 1, -1, -1):
-        y_pow = y_pow * y
-        acc = acc * x
-        if not coeffs[k].is_zero():
-            acc = acc + coeffs[k] * y_pow
-    return acc
-
-
 def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
     """Exact check that g commutes with phi, i.e. g o phi o g^(-1) = phi.
 
@@ -372,7 +331,7 @@ def verify_automorphism_exact(phi: RationalMap, g: ExtendedMoebius) -> bool:
     for k, (x, y) in ((deg, (a, c)), (0, (b, d))):
         pk, qk = twisted(p.coeff(k)), twisted(q.coeff(k))
         ends_lhs += [a * pk + b * qk, c * pk + d * qk]
-        ends_rhs += [_form_value(p, x, y, deg), _form_value(q, x, y, deg)]
+        ends_rhs += [_homogeneous_substitute(f, x, y, deg) for f in (p, q)]
     if not solve_scalar_identity(ends_lhs, ends_rhs, unimodular_only=False):
         return False
     ps, qs = (p.conj(), q.conj()) if g.antiholo else (p, q)
@@ -452,13 +411,10 @@ def _lift_holo_via_fixed_points(
 
 
 def _pivot_scaled(g: ExtendedMoebius):
-    """(j, entries / entry j) for a numeric g, where entry j is the first
-    entry above half the largest: the values a matrix lift starts from.
-    An entry of exactly half the largest counts as above, with a relative
-    margin of 1e-6, so rounding cannot move the pivot off a tie."""
+    """(j, entries / entry j) for a numeric g, where j is the
+    ``pivot_index`` of its entries: the values a matrix lift starts from."""
     entries = (g.a, g.b, g.c, g.d)
-    top = max(abs(e) for e in entries)
-    j = next(i for i, e in enumerate(entries) if abs(e) > 0.5 * top * (1 - 1e-6))
+    j = pivot_index(entries)
     return j, tuple(e / entries[j] for e in entries)
 
 

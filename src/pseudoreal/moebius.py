@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .cyclotomic import CycloNum, common_order, solve_scalar_identity
 from .errors import (
     DegenerateTripleError,
@@ -83,8 +85,8 @@ class ExtendedMoebius:
         """Canonical projective representative.
 
         Exact mode scales the first nonzero entry in row-major order to 1.
-        Numeric mode scales to unit Frobenius norm and rotates the first
-        significant entry to positive real phase.
+        Numeric mode scales to unit Frobenius norm and rotates the entry
+        that ``pivot_index`` picks to positive real phase.
         """
         entries = (self.a, self.b, self.c, self.d)
         if self.exact:
@@ -92,8 +94,7 @@ class ExtendedMoebius:
             inv = pivot.inv()
             return ExtendedMoebius(*(e * inv for e in entries), self.antiholo)
         norm = math.sqrt(sum(abs(e) ** 2 for e in entries))
-        top = max(abs(e) for e in entries)
-        pivot = next(e for e in entries if abs(e) > 0.5 * top)
+        pivot = entries[pivot_index(entries)]
         phase = pivot / abs(pivot)
         scale = 1.0 / (norm * phase)
         return ExtendedMoebius(*(e * scale for e in entries), self.antiholo)
@@ -246,23 +247,8 @@ class ExtendedMoebius:
                 for j in range(i + 1, 3):
                     if _points_equal(triple[i], triple[j]):
                         raise DegenerateTripleError("triple points must be pairwise distinct")
-        src = [conj_point(p) for p in sources] if antiholo else list(sources)
-        gs = _three_point_rows(src)
-        gt = _three_point_rows(list(targets))
-        # T = adj(G_t) . G_s maps sources through (0,1,INF) to targets
-        (a1, b1), (c1, d1) = gt
-        adj = ((d1, -b1), (-c1, a1))
-        rows = (
-            (
-                adj[0][0] * gs[0][0] + adj[0][1] * gs[1][0],
-                adj[0][0] * gs[0][1] + adj[0][1] * gs[1][1],
-            ),
-            (
-                adj[1][0] * gs[0][0] + adj[1][1] * gs[1][0],
-                adj[1][0] * gs[0][1] + adj[1][1] * gs[1][1],
-            ),
-        )
-        return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1], antiholo)
+        src = [conj_point(p) for p in sources] if antiholo else sources
+        return cls(*three_point_matrix(_homog_pairs(src), _homog_pairs(targets)), antiholo)
 
     # -- named finite-subgroup generators ---------------------------------------
 
@@ -323,8 +309,11 @@ def _points_equal(p, q) -> bool:
     return complex(p) == complex(q)
 
 
-def _homog_pairs(points, exact: bool):
-    """Homogeneous pairs (z, 1) and (1, 0) for INF, exact or complex."""
+def _homog_pairs(points, exact: bool | None = None):
+    """Homogeneous pairs (z, 1) and (1, 0) for INF, exact or complex; exact
+    by default when some finite point is a CycloNum."""
+    if exact is None:
+        exact = any(isinstance(p, CycloNum) for p in points if not is_inf(p))
     if exact:
         one = CycloNum.one()
         zero = CycloNum.zero()
@@ -333,35 +322,58 @@ def _homog_pairs(points, exact: bool):
 
 
 def _cross(u, v):
+    """u[0] v[1] - v[0] u[1]: zero iff the homogeneous pairs are the same
+    point, and the chordal distance when both are unit pairs."""
     return u[0] * v[1] - v[0] * u[1]
 
 
-def _three_point_rows(points):
-    """Rows of the matrix sending the three points to (0, 1, INF)."""
-    exact = any(isinstance(p, CycloNum) for p in points if not is_inf(p))
-    p, q, r = _homog_pairs(points, exact)
+def _to_zero_one_inf(p, q, r):
+    """Entries of a matrix sending the homogeneous pairs p, q, r to 0, 1, INF."""
     qr = _cross(q, r)
     qp = _cross(q, p)
-    return ((qr * p[1], -qr * p[0]), (qp * r[1], -qp * r[0]))
+    return qr * p[1], -qr * p[0], qp * r[1], -qp * r[0]
+
+
+def three_point_matrix(sources, targets):
+    """Entries (a, b, c, d) of adj(G_t) . G_s, which sends three homogeneous
+    pairs to three others through (0, 1, INF).  The coordinates may be
+    exact, complex, or numpy arrays that hold one triple per position."""
+    s00, s01, s10, s11 = _to_zero_one_inf(*sources)
+    t00, t01, t10, t11 = _to_zero_one_inf(*targets)
+    return (
+        t11 * s00 - t01 * s10,
+        t11 * s01 - t01 * s11,
+        t00 * s10 - t10 * s00,
+        t00 * s11 - t10 * s01,
+    )
+
+
+def pivot_index(entries) -> int:
+    """Index of the first numeric entry above half the largest in absolute
+    value.  An entry of exactly half the largest counts as above, with a
+    relative margin of 1e-6, so rounding cannot move the pivot off a tie."""
+    top = max(abs(e) for e in entries)
+    return next(i for i, e in enumerate(entries) if abs(e) > 0.5 * top * (1 - 1e-6))
+
+
+def proj_sine(u, v):
+    """Sine of the angle between the complex lines through u and v, along
+    the last axis.
+
+    It is the length of the part of u's unit vector orthogonal to v's, not
+    sqrt(1 - cos^2), which cannot resolve angles below about 1e-8."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    u = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    inner = (u * v.conj()).sum(axis=-1, keepdims=True)
+    return np.linalg.norm(u - inner * v, axis=-1)
 
 
 def proj_distance(g: ExtendedMoebius, h: ExtendedMoebius) -> float:
-    """Sine of the projective angle between two numeric matrices.
-
-    It is the length of the part of g's unit vector orthogonal to h's, not
-    sqrt(1 - cos^2), which cannot resolve angles below about 1e-8."""
-    m = [complex(x) for x in (g.a, g.b, g.c, g.d)] if not g.exact else [
-        x.to_complex() for x in (g.a, g.b, g.c, g.d)
-    ]
-    n = [complex(x) for x in (h.a, h.b, h.c, h.d)] if not h.exact else [
-        x.to_complex() for x in (h.a, h.b, h.c, h.d)
-    ]
-    nm = math.sqrt(sum(abs(x) ** 2 for x in m))
-    nn = math.sqrt(sum(abs(x) ** 2 for x in n))
-    u = [x / nm for x in m]
-    e = [y / nn for y in n]
-    inner = sum(x * y.conjugate() for x, y in zip(u, e))
-    return math.sqrt(sum(abs(x - inner * y) ** 2 for x, y in zip(u, e)))
+    """``proj_sine`` of the entry vectors of two matrices."""
+    g, h = g.to_numeric(), h.to_numeric()
+    return float(proj_sine((g.a, g.b, g.c, g.d), (h.a, h.b, h.c, h.d)))
 
 
 def cross_ratio(z1, z2, z3, z4):

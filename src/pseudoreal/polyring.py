@@ -130,6 +130,8 @@ class Poly:
         c = CycloNum._coerce(value)
         return Poly([c * x for x in self.coeffs], common_order(self.order, c.order))
 
+    __rmul__ = scale
+
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")

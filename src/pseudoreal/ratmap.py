@@ -21,7 +21,7 @@ import numpy as np
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, DegenerateSetError, ZeroMapError
-from .moebius import ExtendedMoebius
+from .moebius import ExtendedMoebius, _cross
 from .polyring import Poly, poly_gcd, roots_numeric
 from .sphere import INF, homog, is_inf
 
@@ -156,17 +156,17 @@ class RationalMap:
         pairs = np.empty((3 * self.degree - 1, 2), dtype=complex)
 
         def add(point, fixed_mult=0, crit_mult=0):
-            x, y = homog(point)
+            pair = homog(point)
             n = len(merged)
-            # chordal distance |x1*y2 - x2*y1| to every entry; the first
-            # entry within 1e-8 takes the labels
-            near = np.flatnonzero(np.abs(pairs[:n, 0] * y - x * pairs[:n, 1]) <= 1e-8)
+            # chordal distance to every entry; the first entry within 1e-8
+            # takes the labels
+            near = np.flatnonzero(np.abs(_cross(pairs[:n].T, pair)) <= 1e-8)
             if near.size:
                 entry = merged[near[0]]
                 entry[1] += fixed_mult
                 entry[2] += crit_mult
                 return
-            pairs[n] = x, y
+            pairs[n] = pair
             merged.append([point, fixed_mult, crit_mult])
 
         fixed_poly = self.fixed_point_polynomial()
@@ -228,7 +228,7 @@ class RationalMap:
             )
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks {exc}") from None
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"malformed coefficient data: {exc}") from None
         return cls.reduce(numer, denom)
 
@@ -256,16 +256,19 @@ class LabeledPoint:
         return (self.fixed_mult, self.crit_mult)
 
 
-def _homogeneous_substitute(p: Poly, u: Poly, v: Poly, formal_degree: int) -> Poly:
-    """sum_k p_k u^k v^(D-k), i.e. v^D * p(u/v) at formal degree D."""
+def _homogeneous_substitute(p: Poly, u, v, formal_degree: int):
+    """sum_k p_k u^k v^(D-k), i.e. v^D * p(u/v) at formal degree D.
+
+    u and v are both polynomials, which gives the substituted polynomial,
+    or both field elements, which gives the degree-D form of p at (u, v)."""
     m = common_order(p.order, u.order, v.order)
+    u, v = u.rebase(m), v.rebase(m)
     coeffs = p.rebase(m).padded(formal_degree + 1)
-    acc = Poly.constant(coeffs[formal_degree], m)
-    v_pow = Poly.one(m)
+    v_pow = v ** 0
+    acc = coeffs[formal_degree] * v_pow
     for k in range(formal_degree - 1, -1, -1):
         v_pow = v_pow * v
         acc = acc * u
         if not coeffs[k].is_zero():
-            acc = acc + v_pow.scale(coeffs[k])
+            acc = acc + coeffs[k] * v_pow
     return acc
-

@@ -20,7 +20,7 @@ from pseudoreal import (
 )
 from pseudoreal import autgrp
 from pseudoreal.autgrp import certify_element, closure_defect
-from pseudoreal.moebius import named_generator, proj_distance
+from pseudoreal.moebius import named_generator, proj_sine
 from pseudoreal.cyclotomic import common_order, recognize_cyclo_candidates
 from pseudoreal.errors import NotAnAutomorphismError, OrderMismatchError
 from pseudoreal.families import sample_degree3_order4, sample_degree13
@@ -92,6 +92,37 @@ def test_closure_defect_respects_orientation():
     assert closure_defect(elements) >= 0.5
 
 
+def _oracle_distance(g, h):
+    """Sine of the projective angle between two numeric matrices, in plain
+    complex arithmetic: the part of g's unit vector orthogonal to h's."""
+    m = [complex(x) for x in (g.a, g.b, g.c, g.d)]
+    n = [complex(x) for x in (h.a, h.b, h.c, h.d)]
+    nm = math.sqrt(sum(abs(x) ** 2 for x in m))
+    nn = math.sqrt(sum(abs(x) ** 2 for x in n))
+    u = [x / nm for x in m]
+    e = [y / nn for y in n]
+    inner = sum(x * y.conjugate() for x, y in zip(u, e))
+    return math.sqrt(sum(abs(x - inner * y) ** 2 for x, y in zip(u, e)))
+
+
+def test_proj_sine_matches_the_scalar_formula_row_by_row():
+    rng = random.Random(1603)
+    pairs = [
+        (random_moebius(rng).to_numeric(), random_moebius(rng).to_numeric()) for _ in range(40)
+    ]
+    got = proj_sine(
+        [(g.a, g.b, g.c, g.d) for g, _ in pairs], [(h.a, h.b, h.c, h.d) for _, h in pairs]
+    )
+    assert got.shape == (40,)
+    for value, (g, h) in zip(got, pairs):
+        assert abs(value - _oracle_distance(g, h)) <= 1e-14
+    # rotating one coordinate pair by 1e-12 leaves 1 - cos^2 at zero in
+    # floating point; the orthogonal part still sees the angle
+    t = 1e-12
+    tilted = proj_sine([1, 0, 0, 0], [math.cos(t), math.sin(t), 0, 0])
+    assert 0.5 * t < tilted < 2 * t
+
+
 def _reference_table(elements):
     """The nearest-element scan over all pairwise products, among the
     elements of the product's orientation: (table, worst distance)."""
@@ -101,7 +132,7 @@ def _reference_table(elements):
         for h in elements:
             prod = g.compose(h).normalized()
             dist = [
-                proj_distance(prod, e) if e.antiholo == prod.antiholo else math.inf
+                _oracle_distance(prod, e) if e.antiholo == prod.antiholo else math.inf
                 for e in elements
             ]
             row.append(min(range(len(elements)), key=dist.__getitem__))
@@ -449,9 +480,16 @@ def test_pivot_holds_on_an_exact_tie():
     values = [CycloNum._coerce(e).to_complex() for e in exact]
     assert abs(values[0]) == 0.5 * max(abs(v) for v in values)
     rng = random.Random(1205)
+    normalized = []
     for _ in range(500):
         scale = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         entries = [v * scale * (1 + rng.uniform(-1e-12, 1e-12)) for v in values]
         j, scaled = autgrp._pivot_scaled(ExtendedMoebius(*entries))
         assert j == 0
         assert abs(scaled[1] - values[1]) < 1e-9
+        g = ExtendedMoebius(*entries).normalized()
+        normalized.append((g.a, g.b, g.c, g.d))
+    # normalized() rotates the same pivot to positive phase, so the
+    # representatives agree and do not flip with the rounding
+    first = normalized[0]
+    assert max(abs(x - y) for n in normalized for x, y in zip(n, first)) < 1e-9

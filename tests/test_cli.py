@@ -226,8 +226,9 @@ def test_analyze_coeff_file(tmp_path):
         {"numer": [["1"], ["0"], ["1"]], "denom": [["1"]]},
         {"field_order": 1, "numer": 5, "denom": [["1"]]},
         [1, [["1"]], [["1"]]],
+        {"field_order": 1, "numer": [[1e999], ["0"]], "denom": [["1"]]},
     ],
-    ids=["no-field-order", "numer-not-a-list", "top-level-array"],
+    ids=["no-field-order", "numer-not-a-list", "top-level-array", "infinite-coefficient"],
 )
 def test_analyze_malformed_coeff_file_is_an_input_error(tmp_path, data):
     coeffs = tmp_path / "map.json"

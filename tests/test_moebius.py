@@ -1,9 +1,12 @@
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from pseudoreal import INF, CycloNum, ExtendedMoebius, cross_ratio, named_generator
+from pseudoreal.moebius import proj_distance, three_point_matrix
+from pseudoreal.sphere import conj_point, homog
 from pseudoreal.errors import (
     DegenerateTripleError,
     NotAnInvolutionError,
@@ -142,8 +145,10 @@ def test_from_three_points_examples():
         ExtendedMoebius.from_three_points([zero, zero, INF], [zero, one_, INF])
 
 
-def test_from_three_points_random_round_trip():
+def _seeded_triples():
+    """The (sources, targets, antiholo) draws of a fixed seed."""
     rng = random.Random(8)
+    out = []
     for _ in range(25):
         pts = [gauss(rng) for _ in range(3)]
         if any(pts[i] == pts[j] for i in range(3) for j in range(i + 1, 3)):
@@ -151,11 +156,36 @@ def test_from_three_points_random_round_trip():
         targets = [INF, gauss(rng), gauss(rng)]
         if targets[1] == targets[2]:
             continue
-        anti = rng.random() < 0.5
+        out.append((pts, targets, rng.random() < 0.5))
+    return out
+
+
+def test_from_three_points_random_round_trip():
+    for pts, targets, anti in _seeded_triples():
         t = ExtendedMoebius.from_three_points(pts, targets, antiholo=anti)
         for p, q in zip(pts, targets):
             got = t.apply(p)
             assert (got is INF and q is INF) or got == q
+
+
+def test_three_point_matrix_on_arrays_matches_from_three_points():
+    # the candidate search builds one matrix per target triple at once,
+    # with unit homogeneous pairs whose coordinates are arrays
+    triples = _seeded_triples()
+    assert len(triples) >= 20
+
+    def stacked(triple_of_points):
+        pairs = np.array(
+            [[homog(p if p is INF else p.to_complex()) for p in pts] for pts in triple_of_points]
+        )
+        return pairs.transpose(1, 2, 0)  # point, coordinate, triple
+
+    sources = stacked([[conj_point(p) if anti else p for p in pts] for pts, _, anti in triples])
+    targets = stacked([t for _, t, _ in triples])
+    entries = np.stack(three_point_matrix(sources, targets), axis=1)
+    for row, (pts, t, anti) in zip(entries, triples):
+        ref = ExtendedMoebius.from_three_points(pts, t, antiholo=anti)
+        assert proj_distance(ExtendedMoebius(*row, antiholo=anti), ref) <= 1e-12
 
 
 def test_cross_ratio_orbit_points():

@@ -14,9 +14,12 @@ DELETED = {
     "pseudoreal.errors": ("FieldMismatchError",),
     "pseudoreal.polyring": ("_polish", "divides_exactly"),
     "pseudoreal.sphere": ("chordal",),
-    "pseudoreal.autgrp": ("_arg_scaled", "_near", "_proportional"),
+    "pseudoreal.autgrp": (
+        "_arg_scaled", "_form_value", "_near", "_projective_residual", "_proportional",
+    ),
     "pseudoreal.cli": ("_split_top_level",),
     "pseudoreal.families": ("_support_in_residue_class",),
+    "pseudoreal.moebius": ("_three_point_rows",),
     "pseudoreal.ratmap": ("_poly_expr",),
 }
 DELETED_MEMBERS = {
