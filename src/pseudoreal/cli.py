@@ -109,52 +109,84 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _times(a, b):
+    """a * b for polynomials, where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
 class _Frac:
-    """A rational expression as a pair of polynomials (no reduction yet)."""
+    """A parsed expression, not reduced.
+
+    Until z appears it is a field constant: ``num`` is a CycloNum and
+    ``den`` is None.  From then on it is num/den with ``num`` a polynomial
+    and ``den`` either None, standing for 1, or a polynomial of positive
+    degree: a constant denominator is folded into the numerator, and a
+    polynomial of degree at most 0 over 1 becomes a constant again."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly):
+    def __init__(self, num, den=None):
+        if den is not None and den.degree == 0:
+            num, den = num.scale(den.lead().inv()), None
+        if den is None and isinstance(num, Poly) and num.degree <= 0:
+            num = num.coeff(0)
         self.num = num
         self.den = den
 
-    @classmethod
-    def constant(cls, value: CycloNum):
-        return cls(Poly.constant(value), Poly.one(value.order))
+    def constant(self) -> CycloNum | None:
+        return None if isinstance(self.num, Poly) else self.num
+
+    def pair(self) -> tuple[Poly, Poly | None]:
+        """(numerator, denominator) as polynomials, None standing for 1."""
+        if isinstance(self.num, Poly):
+            return self.num, self.den
+        return Poly.constant(self.num), None
 
     def __add__(self, other):
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other):
-        return _Frac(self.num * other.num, self.den * other.den)
+        a, b = self.constant(), other.constant()
+        if a is not None and b is not None:
+            return _Frac(a + b)
+        (p, q), (r, s) = self.pair(), other.pair()
+        return _Frac(_times(p, s) + _times(r, q), _times(q, s))
 
     def __neg__(self):
         return _Frac(-self.num, self.den)
 
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        a, b = self.constant(), other.constant()
+        if a is not None and b is not None:
+            return _Frac(a * b)
+        (p, q), (r, s) = self.pair(), other.pair()
+        return _Frac(p * r, _times(q, s))
+
     def divide(self, other, pos):
         if other.num.is_zero():
             raise MapSyntaxError("division by the zero expression", pos)
-        return _Frac(self.num * other.den, self.den * other.num)
+        a, b = self.constant(), other.constant()
+        if a is not None and b is not None:
+            return _Frac(a / b)
+        (p, q), (r, s) = self.pair(), other.pair()
+        return _Frac(_times(p, s), _times(q, r))
 
     def power(self, k: int, pos):
-        if k >= 0:
-            return _Frac(self.num**k, self.den**k)
-        if self.num.is_zero():
+        if k < 0 and self.num.is_zero():
             raise MapSyntaxError("zero raised to a negative power", pos)
-        return _Frac(self.den ** (-k), self.num ** (-k))
+        a = self.constant()
+        if a is not None:
+            return _Frac(a**k)
+        p, q = self.pair()
+        if k >= 0:
+            return _Frac(p**k, None if q is None else q**k)
+        return _Frac(Poly.one(p.order) if q is None else q ** (-k), p ** (-k))
 
     def as_integer(self) -> int | None:
-        if self.num.degree > 0 or self.den.degree > 0 or self.den.is_zero():
-            return None
-        value = (
-            self.num.coeff(0) / self.den.coeff(0)
-            if not self.num.is_zero()
-            else CycloNum.zero()
-        )
-        q = value.as_rational()
+        a = self.constant()
+        q = None if a is None else a.as_rational()
         if q is None or q.denominator != 1:
             return None
         return int(q)
@@ -241,16 +273,16 @@ class _Parser:
     def parse_atom(self) -> _Frac:
         tok = self.next()
         if tok.kind == "int":
-            return _Frac.constant(CycloNum.from_rational(int(tok.text)))
+            return _Frac(CycloNum.from_rational(int(tok.text)))
         if tok.kind == "(":
             inner = self.parse_expr()
             self.expect(")")
             return inner
         if tok.kind == "name":
             if tok.text == "i":
-                return _Frac.constant(CycloNum.i())
+                return _Frac(CycloNum.i())
             if tok.text == "z":
-                return _Frac(Poly.x(), Poly.one())
+                return _Frac(Poly.x())
             # w(m, k)
             self.expect("(")
             m_tok = self.expect("int")
@@ -264,16 +296,14 @@ class _Parser:
             m = int(m_tok.text)
             if m < 1:
                 raise MapSyntaxError("root-of-unity order must be positive", m_tok.pos)
-            return _Frac.constant(CycloNum.zeta(m, sign * int(k_tok.text)))
+            return _Frac(CycloNum.zeta(m, sign * int(k_tok.text)))
         raise MapSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.pos)
 
 
 def parse_map_expr(text: str) -> RationalMap:
     """Parse an expression into a reduced exact rational map."""
-    frac = _Parser(text).parse()
-    if frac.num.is_zero() and frac.den.is_zero():
-        raise MapSyntaxError("expression is 0/0", 0)
-    return RationalMap.reduce(frac.num, frac.den)
+    num, den = _Parser(text).parse().pair()
+    return RationalMap.reduce(num, Poly.one(num.order) if den is None else den)
 
 
 def parse_constant(text: str) -> CycloNum:
@@ -282,13 +312,11 @@ def parse_constant(text: str) -> CycloNum:
 
 
 def _constant(frac: _Frac) -> CycloNum:
-    """The value of a parsed expression that must be a finite constant."""
-    if frac.num.degree > 0 or frac.den.degree > 0:
+    """The value of a parsed expression that must be a constant."""
+    value = frac.constant()
+    if value is None:
         raise NonRationalExpressionError("expected a constant expression without z")
-    map_ = RationalMap.reduce(frac.num, frac.den)
-    if map_.denom.is_zero() or map_.denom.degree > 0 or map_.numer.degree > 0:
-        raise NonRationalExpressionError("expected a finite constant")
-    return map_.numer.coeff(0) / map_.denom.coeff(0)
+    return value
 
 
 # -- report building -----------------------------------------------------------

@@ -7,12 +7,18 @@ zero polynomial stores an empty tuple and reports degree -1.
 
 Exact operations: ring arithmetic, divmod, monic gcd, Yun squarefree
 decomposition, Sylvester resultants at explicit formal degrees, z -> z^n
-substitution and coefficient conjugation.  Numeric roots come from an
-Aberth-Ehrlich simultaneous iteration run on each squarefree factor, so
-multiple roots never degrade the attained accuracy (Bini, Numer.
-Algorithms 13, 1996).  The iteration, the Newton polish and the residual
-check run on numpy arrays: one update per iteration moves all roots of a
-factor, and p and p' come from one fused Horner recurrence.
+substitution and coefficient conjugation.  A product with a constant is
+a scaling, and a power of a monomial is built directly.  Yun's algorithm
+first asks :mod:`pseudoreal.modp` whether p and p' are coprime modulo a
+prime; when that certificate holds, p is squarefree and no exact
+remainder sequence runs.
+
+Numeric roots come from an Aberth-Ehrlich simultaneous iteration run on
+each squarefree factor, so multiple roots never degrade the attained
+accuracy (Bini, Numer. Algorithms 13, 1996).  The iteration, the Newton
+polish and the residual check run on numpy arrays: one update per
+iteration moves all roots of a factor, and p and p' come from one fused
+Horner recurrence.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BothZeroError, ConvergenceFailureError
+from .modp import coprime_mod_p
 
 # relative residual a numeric root must reach, see roots_numeric
 ROOT_TOL = 1e-12
@@ -116,6 +123,10 @@ class Poly:
         a, b = self._common(other)
         if a.is_zero() or b.is_zero():
             return Poly.zero(a.order)
+        if len(a.coeffs) == 1:
+            return b.scale(a.coeffs[0])
+        if len(b.coeffs) == 1:
+            return a.scale(b.coeffs[0])
         zero = CycloNum.zero(a.order)
         out = [zero] * (len(a.coeffs) + len(b.coeffs) - 1)
         for j, x in enumerate(a.coeffs):
@@ -135,6 +146,10 @@ class Poly:
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative polynomial power")
+        if self.coeffs and not any(self.coeffs[:-1]):
+            # c z^k: the power is c^e z^(k e)
+            zero = CycloNum.zero(self.order)
+            return Poly([zero] * (self.degree * exponent) + [self.lead() ** exponent], self.order)
         result = Poly.one(self.order)
         base = self
         e = exponent
@@ -296,6 +311,8 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if f.degree == 0:
         return []
     df = f.derivative()
+    if coprime_mod_p(f, df):
+        return [(f, 1)]
     g = poly_gcd(f, df)
     if g.degree == 0:
         return [(f, 1)]

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, DegenerateSetError, ZeroMapError
+from .modp import coprime_mod_p
 from .moebius import ExtendedMoebius, _cross
 from .polyring import Poly, poly_gcd, roots_numeric
 from .sphere import INF, homog, is_inf
@@ -40,15 +41,19 @@ class RationalMap:
 
     @classmethod
     def reduce(cls, numer: Poly, denom: Poly) -> "RationalMap":
-        """Cancel the gcd and normalize the projective scale."""
+        """Cancel the gcd and normalize the projective scale.
+
+        The exact gcd runs only when ``coprime_mod_p`` cannot certify that
+        the two sides are coprime."""
         if numer.is_zero() and denom.is_zero():
             raise ZeroMapError("numerator and denominator are both zero")
         m = common_order(numer.order, denom.order)
         numer, denom = numer.rebase(m), denom.rebase(m)
-        g = poly_gcd(numer, denom)
-        if g.degree > 0:
-            numer = numer // g
-            denom = denom // g
+        if not coprime_mod_p(numer, denom):
+            g = poly_gcd(numer, denom)
+            if g.degree > 0:
+                numer = numer // g
+                denom = denom // g
         pivot = denom.lead() if not denom.is_zero() else numer.lead()
         inv = pivot.inv()
         return cls(numer.scale(inv), denom.scale(inv), _reduced=True)

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 from pseudoreal import (
     CycloNum,
     ExtendedMoebius,
+    Poly,
+    RationalMap,
     aut_group_report,
     classify,
     cli,
@@ -15,7 +18,7 @@ from pseudoreal import (
     silverman,
 )
 from pseudoreal.cli import main, parse_constant, parse_map_expr
-from pseudoreal.errors import MapSyntaxError, NonRationalExpressionError
+from pseudoreal.errors import MapSyntaxError, NonRationalExpressionError, PseudoRealError
 from pseudoreal.families import sample_degree3_order4, sample_degree13
 
 DATA = Path(__file__).parent / "data"
@@ -328,3 +331,121 @@ def test_analyze_reads_numeric_orders_off_the_product_table(monkeypatch, name):
     code, _, err = run_cli("analyze", "--map", dict(GOLDEN_MAPS)[name]().to_expr(), "--json")
     assert code == 0, err
     assert seen == {"certify_element"}
+
+
+class _PairFrac:
+    """Reference arithmetic for the parser: every subexpression is a pair
+    of polynomials, constants included, with no folding."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if den is None:
+            num = num if isinstance(num, Poly) else Poly.constant(num)
+            den = Poly.one(num.order)
+        self.num = num
+        self.den = den
+
+    def __add__(self, other):
+        return _PairFrac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return _PairFrac(self.num * other.den - other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        return _PairFrac(self.num * other.num, self.den * other.den)
+
+    def __neg__(self):
+        return _PairFrac(-self.num, self.den)
+
+    def divide(self, other, pos):
+        if other.num.is_zero():
+            raise MapSyntaxError("division by the zero expression", pos)
+        return _PairFrac(self.num * other.den, self.den * other.num)
+
+    def power(self, k, pos):
+        if k >= 0:
+            return _PairFrac(self.num**k, self.den**k)
+        if self.num.is_zero():
+            raise MapSyntaxError("zero raised to a negative power", pos)
+        return _PairFrac(self.den ** (-k), self.num ** (-k))
+
+    def as_integer(self):
+        if self.num.degree > 0 or self.den.degree > 0:
+            return None
+        value = self.num.coeff(0) / self.den.coeff(0) if not self.num.is_zero() else CycloNum.zero()
+        q = value.as_rational()
+        return None if q is None or q.denominator != 1 else int(q)
+
+
+def _reference_parse(text):
+    """The reduced map of ``text`` under the reference pair arithmetic."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_Frac", _PairFrac)
+        frac = cli._Parser(text).parse()
+    return RationalMap.reduce(frac.num, frac.den)
+
+
+def _reference_constant(text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_Frac", _PairFrac)
+        frac = cli._Parser(text).parse()
+    if frac.num.degree > 0 or frac.den.degree > 0:
+        raise NonRationalExpressionError("expected a constant expression without z")
+    phi = RationalMap.reduce(frac.num, frac.den)
+    return phi.numer.coeff(0) / phi.denom.coeff(0)
+
+
+def _outcome(parse, text):
+    """The parse result in exact, field-revealing form, or the error class
+    and position."""
+    try:
+        value = parse(text)
+    except PseudoRealError as exc:
+        return type(exc), getattr(exc, "position", None)
+    if isinstance(value, CycloNum):
+        return value.order, value.num, value.den
+    return value.to_coeff_json()
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        # z is half of the leaves
+        kind = rng.randrange(6)
+        if kind == 0:
+            return f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+        if kind == 1:
+            return "i"
+        if kind == 2:
+            return f"w({rng.choice((1, 2, 3, 4, 6, 8))},{rng.randint(-8, 8)})"
+        return "z"
+    op = rng.choice("+-*/^-")
+    left = _random_expr(rng, depth - 1)
+    if op == "^":
+        return f"({left})^{rng.randint(-3, 5)}"
+    if rng.random() < 0.1:
+        left = f"-{left}"
+    return f"({left}){op}({_random_expr(rng, depth - 1)})"
+
+
+def test_parser_matches_the_pair_arithmetic():
+    rng = random.Random(18)
+    texts = [_random_expr(rng, 4) for _ in range(200)]
+    texts += ["5", "-i", "0", "z", "z^0", "(z-z+3)/w(8,2)", "1/(w(8,1)*z)^0",
+              "(z/z)^-2", "(2*z)/(z-z+2)", "w(12,3)*(3/4-i)^-2*z^3+1/z"]
+    kinds = set()
+    for text in texts:
+        expected = _outcome(_reference_parse, text)
+        assert _outcome(parse_map_expr, text) == expected, text
+        assert _outcome(parse_constant, text) == _outcome(_reference_constant, text), text
+        kinds.add(expected[0] if isinstance(expected, tuple) else dict)
+    assert {MapSyntaxError, dict} <= kinds
+
+
+@pytest.mark.parametrize("text", [
+    "0/0", "z/(z-z)", "1/(0*z)", "(z-z)^-2", "0^-1", "(0/z)^-1", "z^(1/2)",
+    "z^(z/z)", "2^i", "z^(z-z+2)", "3^(2-2)",
+])
+def test_parser_errors_match_the_pair_arithmetic(text):
+    assert _outcome(parse_map_expr, text) == _outcome(_reference_parse, text)
+    assert _outcome(parse_constant, text) == _outcome(_reference_constant, text)

@@ -390,3 +390,35 @@ def test_reprs_show_the_expression_text():
     w8 = CycloNum.zeta(8)
     for q in (p, Poly([0, -1]), Poly([Fraction(-1, 3), 0, w8 + 1, -w8]), Poly([-i])):
         assert parse_map_expr(q.to_expr()).numer == q
+
+
+def _schoolbook(a, b):
+    """a * b by the full double loop, in the lcm field."""
+    m = math.lcm(a.order, b.order)
+    out = [CycloNum.zero(m)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+    for j, x in enumerate(a.coeffs):
+        for k, y in enumerate(b.coeffs):
+            out[j + k] = out[j + k] + x.rebase(m) * y.rebase(m)
+    return Poly(out, m)
+
+
+def _same(p, q):
+    return p.order == q.order and p.coeffs == q.coeffs
+
+
+def test_products_by_constants_and_monomial_powers_match_the_schoolbook():
+    rng = random.Random(7)
+    for _ in range(30):
+        p = random_poly(rng, rng.randint(0, 6))
+        c = Poly([CycloNum.zeta(rng.choice((1, 3, 8, 12)), rng.randint(0, 11))
+                  * rng.randint(-3, 3)])
+        for a, b in ((p, c), (c, p), (c, c), (p, Poly.zero(8)), (Poly.zero(3), p)):
+            assert _same(a * b, _schoolbook(a, b))
+        k, e = rng.randint(0, 4), rng.randint(0, 5)
+        monomial = Poly([CycloNum.zero(4)] * k + [gauss(rng) + CycloNum.zeta(3)])
+        expected = Poly.one(monomial.order)
+        for _ in range(e):
+            expected = _schoolbook(expected, monomial)
+        assert _same(monomial**e, expected)
+    assert _same(Poly.zero(8) ** 0, Poly.one(8))
+    assert _same(Poly.zero(8) ** 3, Poly.zero(8))
