@@ -360,9 +360,9 @@ def _numeric_fixed_points(g: ExtendedMoebius):
 
 
 def _lift_holo_via_fixed_points(
-    phi: RationalMap, g: ExtendedMoebius, k: int | None
+    phi: RationalMap, g: ExtendedMoebius, k: int
 ) -> ExtendedMoebius | None:
-    """An elliptic holomorphic element of numeric order k rebuilt from its
+    """An elliptic holomorphic element of order k rebuilt from its
     fixed-point pair and rotation multiplier, verified to commute with phi,
     or None.
 
@@ -370,8 +370,6 @@ def _lift_holo_via_fixed_points(
     may be arbitrary field elements, but the fixed points are often simple
     (images of 0 and infinity under the scrambling map) and the multiplier
     is exactly a root of unity, so lifting those suffices."""
-    if k is None or k < 2:
-        return None
     p_num, q_num = _numeric_fixed_points(g)
     if q_num is INF and p_num is INF:
         return None
@@ -418,21 +416,22 @@ def _pivot_scaled(g: ExtendedMoebius):
     return j, tuple(e / entries[j] for e in entries)
 
 
-def _matrix_fields(phi: RationalMap, k: int | None) -> list[int]:
+def _matrix_fields(phi: RationalMap, k: int) -> list[int]:
     """The fields a matrix lift tries, in order: the map's field with i
     adjoined, then its extensions by the roots of unity of orders k and 2k
-    (k the order of the element), or 8, 12 and 24 when k is unknown."""
+    (k the order of the element)."""
     base = common_order(phi.field_order, 4)
-    extra = (k, 2 * k) if k else (8, 12, 24)
-    return sorted({base, *(common_order(base, e) for e in extra)})
+    return sorted({base, common_order(base, k), common_order(base, 2 * k)})
 
 
-def certify_element(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | None:
+def certify_element(phi: RationalMap, g: ExtendedMoebius, order: int) -> ExtendedMoebius | None:
     """Exact element verified to commute with phi, or None.
 
-    The four entries, scaled by a large one, are lifted jointly and the
-    exact commutation check decides; an elliptic holomorphic element that
-    resists this in every field is rebuilt from its fixed points."""
+    ``order`` is the order of g, as read off the product table of the
+    numeric group; it picks the fields of the lift.  The four entries,
+    scaled by a large one, are lifted jointly and the exact commutation
+    check decides; an elliptic holomorphic element that resists this in
+    every field is rebuilt from its fixed points."""
     if g.exact:
         return g if verify_automorphism_exact(phi, g) else None
 
@@ -443,13 +442,12 @@ def certify_element(phi: RationalMap, g: ExtendedMoebius) -> ExtendedMoebius | N
             return False
         return verify_automorphism_exact(phi, cand)
 
-    k = g.order(bound=2 * (phi.degree + 1), tol=1e-6)
     _, values = _pivot_scaled(g)
-    lifted = lift(values, _matrix_fields(phi, k), commutes)
+    lifted = lift(values, _matrix_fields(phi, order), commutes)
     if lifted is not None:
         return ExtendedMoebius(*lifted, antiholo=g.antiholo)
     if not g.antiholo and not g.is_identity(1e-9):
-        return _lift_holo_via_fixed_points(phi, g, k)
+        return _lift_holo_via_fixed_points(phi, g, order)
     return None
 
 
@@ -472,7 +470,7 @@ def _sort_elements(pairs: list[tuple[ExtendedMoebius, int]]):
 
 
 def _lifted_like(
-    phi: RationalMap, g: ExtendedMoebius, k: int | None, e: ExtendedMoebius
+    phi: RationalMap, g: ExtendedMoebius, k: int, e: ExtendedMoebius
 ) -> ExtendedMoebius:
     """The exact element e, lifted from the numeric g the way
     ``certify_element`` lifts g, so that it prints the same; e scaled to
@@ -511,7 +509,7 @@ def _certify_group(phi: RationalMap, elements: list[ExtendedMoebius], orders: li
         if w in closure:
             exact.append((_lifted_like(phi, g, k, closure[w]), k))
             continue
-        cert = certify_element(phi, g)
+        cert = certify_element(phi, g, k)
         if cert is None:
             failed += 1
             exact.append((g, k))
@@ -653,19 +651,18 @@ def _conjugator_to_zero_inf(p, q) -> ExtendedMoebius:
 
 
 def _extract_power_form(phi: RationalMap, n: int):
-    """(P, Q) with phi(z) = z P(z^n)/Q(z^n), or None when unsupported."""
-    rho_num = phi.numer
-    rho_den = Poly.x(phi.field_order) * phi.denom
-    rho = RationalMap.reduce(rho_num, rho_den)
-    u, v = rho.numer, rho.denom
-    if any(
-        k % n != 0 for k, cc in enumerate(u.coeffs) if not cc.is_zero()
-    ) or any(k % n != 0 for k, cc in enumerate(v.coeffs) if not cc.is_zero()):
+    """(P, Q) with phi(z) = z P(z^n)/Q(z^n), or None when phi has no such form.
+
+    phi(z)/z is N/(z D) with N and D coprime, so gcd(N, z D) is z when
+    N(0) = 0 and 1 otherwise: the z cancels by a shift of N."""
+    u, v = phi.numer, phi.denom
+    if u.coeff(0).is_zero():
+        u = Poly(u.coeffs[1:], u.order)
+    else:
+        v = Poly.x(v.order) * v
+    if any(c for f in (u, v) for k, c in enumerate(f.coeffs) if k % n):
         return None
-    m = common_order(u.order, v.order)
-    p = Poly([u.coeff(k * n) for k in range(u.degree // n + 1)] if not u.is_zero() else [], m)
-    q = Poly([v.coeff(k * n) for k in range(v.degree // n + 1)] if not v.is_zero() else [], m)
-    return p, q
+    return Poly(u.coeffs[::n], u.order), Poly(v.coeffs[::n], v.order)
 
 
 def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclicForm:
@@ -673,18 +670,18 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
 
     The conjugator sends the fixed points of t to 0 and infinity; the case
     with phi(0) = 0 = phi(infinity) is folded into case 'b' by an extra
-    1/z flip.
+    1/z flip.  The extraction is the proof that t commutes with phi: t's
+    order n and fixed points are exact, so in the new coordinates t is
+    z -> zeta z with zeta of order n, and a map commutes with it iff it is
+    z P(z^n)/Q(z^n).  Otherwise NotAnAutomorphismError is raised.
     """
     if not t.exact:
         raise NotCertifiedError("canonicalization needs an exact symmetry")
     if t.antiholo:
         raise NotAnAutomorphismError("the symmetry must be holomorphic")
-    bound = 2 * (phi.degree + 1)
-    n = t.order(bound)
+    n = t.order(2 * (phi.degree + 1))
     if n is None or n < 2:
         raise OrderMismatchError("symmetry must have finite order at least 2")
-    if not verify_automorphism_exact(phi, t):
-        raise NotAnAutomorphismError("the transformation does not commute with the map")
     p_fix, q_fix = _fixed_points_exact(t)
     conj = _conjugator_to_zero_inf(p_fix, q_fix)
     work = phi.conjugate_by(conj)
@@ -693,15 +690,14 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
     extracted = _extract_power_form(work, n)
     if extracted is None:
         raise NotAnAutomorphismError("map is not rotation-symmetric of this order")
-    p, q = extracted
-    psi = RationalMap.reduce(p, q)
+    psi = RationalMap.reduce(*extracted)
     r = psi.degree
     a_r = psi.numer.coeff(r)
     b_0 = psi.denom.coeff(0)
     if a_r.is_zero() and not b_0.is_zero():
         # phi(0) = 0 = phi(inf): flip by 1/z into the b-case
         conj = ExtendedMoebius.inversion().compose(conj)
-        work = phi.conjugate_by(conj)
+        work = _flip_psi(work)
         psi = _flip_psi(psi)  # 1/psi(1/u), of the same degree r
         a_r = psi.numer.coeff(r)
         b_0 = psi.denom.coeff(0)
@@ -726,7 +722,7 @@ def canonicalize_cyclic(phi: RationalMap, t: ExtendedMoebius) -> CanonicalCyclic
 
 
 def _flip_psi(psi: RationalMap) -> RationalMap:
-    """1/psi(1/u)."""
+    """1/psi(1/u), the conjugate of psi by the inversion u -> 1/u."""
     r = max(psi.numer.degree, psi.denom.degree)
     rev_num = Poly(list(reversed(psi.denom.padded(r + 1))))
     rev_den = Poly(list(reversed(psi.numer.padded(r + 1))))

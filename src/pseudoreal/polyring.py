@@ -8,10 +8,10 @@ zero polynomial stores an empty tuple and reports degree -1.
 Exact operations: ring arithmetic, divmod, monic gcd, Yun squarefree
 decomposition, Sylvester resultants at explicit formal degrees, z -> z^n
 substitution and coefficient conjugation.  A product with a constant is
-a scaling, and a power of a monomial is built directly.  Yun's algorithm
-first asks :mod:`pseudoreal.modp` whether p and p' are coprime modulo a
-prime; when that certificate holds, p is squarefree and no exact
-remainder sequence runs.
+a scaling, and a power of a monomial is built directly.  ``poly_gcd``
+returns 1 when :mod:`pseudoreal.modp` certifies its inputs coprime modulo
+a prime, so Yun's algorithm, a sequence of gcds, runs the exact remainder
+sequence only for a gcd that is not 1.
 
 Numeric roots come from an Aberth-Ehrlich simultaneous iteration run on
 each squarefree factor, so multiple roots never degrade the attained
@@ -287,7 +287,8 @@ def strip_rational_content(p: Poly) -> Poly:
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by a Euclidean remainder sequence.
+    """Monic gcd: 1 when ``coprime_mod_p`` certifies the pair, else by a
+    Euclidean remainder sequence.
 
     Each remainder is made monic and stripped of rational content to keep
     the coordinate fractions from blowing up mid-sequence.
@@ -295,6 +296,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     if p.is_zero() and q.is_zero():
         raise BothZeroError("gcd(0, 0) is undefined")
     a, b = p._common(q)
+    if coprime_mod_p(a, b):
+        return Poly.one(a.order)
     a, b = strip_rational_content(a), strip_rational_content(b)
     while not b.is_zero():
         a, b = b, a % b
@@ -311,8 +314,6 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if f.degree == 0:
         return []
     df = f.derivative()
-    if coprime_mod_p(f, df):
-        return [(f, 1)]
     g = poly_gcd(f, df)
     if g.degree == 0:
         return [(f, 1)]

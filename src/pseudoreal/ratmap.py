@@ -21,7 +21,6 @@ import numpy as np
 
 from .cyclotomic import CycloNum, common_order
 from .errors import BadDegreeError, DegenerateSetError, ZeroMapError
-from .modp import coprime_mod_p
 from .moebius import ExtendedMoebius, _cross
 from .polyring import Poly, poly_gcd, roots_numeric
 from .sphere import INF, homog, is_inf
@@ -43,17 +42,16 @@ class RationalMap:
     def reduce(cls, numer: Poly, denom: Poly) -> "RationalMap":
         """Cancel the gcd and normalize the projective scale.
 
-        The exact gcd runs only when ``coprime_mod_p`` cannot certify that
-        the two sides are coprime."""
+        ``poly_gcd`` decides coprime pairs modulo a prime, so the exact
+        remainder sequence runs only on a pair it cannot certify."""
         if numer.is_zero() and denom.is_zero():
             raise ZeroMapError("numerator and denominator are both zero")
         m = common_order(numer.order, denom.order)
         numer, denom = numer.rebase(m), denom.rebase(m)
-        if not coprime_mod_p(numer, denom):
-            g = poly_gcd(numer, denom)
-            if g.degree > 0:
-                numer = numer // g
-                denom = denom // g
+        g = poly_gcd(numer, denom)
+        if g.degree > 0:
+            numer = numer // g
+            denom = denom // g
         pivot = denom.lead() if not denom.is_zero() else numer.lead()
         inv = pivot.inv()
         return cls(numer.scale(inv), denom.scale(inv), _reduced=True)
@@ -226,14 +224,16 @@ class RationalMap:
         if not isinstance(data, dict):
             raise ValueError("coefficient data must be a JSON object")
         try:
-            m = int(data["field_order"])
+            m = data["field_order"]
+            if type(m) is not int:
+                raise TypeError(f"field_order {m!r} is not an integer")
             numer, denom = (
                 Poly([CycloNum(m, [Fraction(s) for s in row]) for row in data[key]], m)
                 for key in ("numer", "denom")
             )
         except KeyError as exc:
             raise ValueError(f"coefficient data lacks {exc}") from None
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed coefficient data: {exc}") from None
         return cls.reduce(numer, denom)
 

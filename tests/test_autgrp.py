@@ -13,12 +13,13 @@ from pseudoreal import (
     aut_group_report,
     canonicalize_cyclic,
     classify_group_type,
+    cyclic_pseudo_real_family,
     normalizer_action,
     silverman,
     solve_normalizer_orbit,
     verify_automorphism_exact,
 )
-from pseudoreal import autgrp
+from pseudoreal import autgrp, polyring
 from pseudoreal.autgrp import certify_element, closure_defect
 from pseudoreal.moebius import named_generator, proj_sine
 from pseudoreal.cyclotomic import common_order, recognize_cyclo_candidates
@@ -197,7 +198,7 @@ def test_verify_automorphism_exact_examples():
 def test_certify_element_lifts_numeric_rotation():
     m13 = sample_degree13()
     g = ExtendedMoebius.rotation(6, 1).to_numeric()
-    lifted = certify_element(m13, g)
+    lifted = certify_element(m13, g, 6)
     assert lifted is not None and lifted.exact
     assert lifted.projectively_equal(ExtendedMoebius.rotation(6, 1))
 
@@ -214,8 +215,45 @@ def test_canonicalize_rejects_bad_input():
     cube = RationalMap.reduce(z() ** 3, one())
     with pytest.raises(OrderMismatchError):
         canonicalize_cyclic(cube, ExtendedMoebius.identity())
-    with pytest.raises(NotAnAutomorphismError):
-        canonicalize_cyclic(cube, ExtendedMoebius.rotation(4, 1))
+    m13 = sample_degree13()
+    shift = ExtendedMoebius(CycloNum.one(), CycloNum.one(), CycloNum.zero(), CycloNum.one())
+    shifted_rotation = shift.compose(ExtendedMoebius.rotation(6, 1)).compose(shift.inverse())
+    # an exact element of finite order that does not commute with the map:
+    # no power form exists in the coordinates that rotate by it
+    for phi, t in [
+        (cube, ExtendedMoebius.rotation(4, 1)),
+        (m13, ExtendedMoebius.rotation(12, 1)),
+        (m13, shifted_rotation),
+    ]:
+        with pytest.raises(NotAnAutomorphismError, match="not rotation-symmetric of this order"):
+            canonicalize_cyclic(phi, t)
+
+
+def _cyclic_n8_r2():
+    i = CycloNum.i()
+    return cyclic_pseudo_real_family(8, 2, -1, [-1 + 2 * i, -2, -2 - 2 * i])
+
+
+@pytest.mark.parametrize(
+    "build, n", [(sample_degree13, 6), (_cyclic_n8_r2, 8)], ids=["sample_degree13", "cyclic_n8_r2"]
+)
+def test_canonicalize_proves_commutation_by_the_normal_form(monkeypatch, build, n):
+    # the exact order and fixed points make t a rotation z -> zeta z in the
+    # new coordinates, so extracting z P(z^n)/Q(z^n) is the proof that t
+    # commutes: no separate coefficient identity, and the factor z of
+    # phi(z)/z cancels by a shift, not by an exact Euclid
+    phi = build()
+    t = ExtendedMoebius.rotation(n, 1)
+    seen = []
+    verify, strip = autgrp.verify_automorphism_exact, polyring.strip_rational_content
+    monkeypatch.setattr(
+        autgrp, "verify_automorphism_exact", lambda *args: seen.append("verify") or verify(*args)
+    )
+    monkeypatch.setattr(polyring, "strip_rational_content", lambda p: seen.append("gcd") or strip(p))
+    form = canonicalize_cyclic(phi, t)
+    assert seen == []
+    assert form.n == n and form.case_tag == "a"
+    assert phi.conjugate_by(form.conjugator).equals_projective(form.canonical_map())
 
 
 def test_canonicalize_case_b_and_c():
@@ -419,8 +457,8 @@ def test_report_rejects_a_generator_that_is_only_numerically_right(monkeypatch):
     # twice disagree exactly, so the closure must not be certified
     phi = sample_degree13()
 
-    def nudged(phi, g):
-        cert = certify_element(phi, g)
+    def nudged(phi, g, order):
+        cert = certify_element(phi, g, order)
         if g.antiholo:
             eps = CycloNum.from_rational(Fraction(1, 10**9), cert.a.order)
             cert = ExtendedMoebius(cert.a + eps, cert.b, cert.c, cert.d, antiholo=True)

@@ -223,6 +223,10 @@ def test_analyze_coeff_file(tmp_path):
     assert report["classification"]["verdict"] == "pseudo_real"
 
 
+# z^3 over Q(i), two coordinates per coefficient
+Z_CUBED_Q_I = [["0", "0"], ["0", "0"], ["0", "0"], ["1", "0"]]
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -230,8 +234,19 @@ def test_analyze_coeff_file(tmp_path):
         {"field_order": 1, "numer": 5, "denom": [["1"]]},
         [1, [["1"]], [["1"]]],
         {"field_order": 1, "numer": [[1e999], ["0"]], "denom": [["1"]]},
+        {"field_order": 1, "numer": [["1/0"], ["0"], ["1"]], "denom": [["1"]]},
+        {"field_order": 4.9, "numer": Z_CUBED_Q_I, "denom": [["1", "0"]]},
+        {"field_order": True, "numer": [["0"], ["0"], ["0"], ["1"]], "denom": [["1"]]},
     ],
-    ids=["no-field-order", "numer-not-a-list", "top-level-array", "infinite-coefficient"],
+    ids=[
+        "no-field-order",
+        "numer-not-a-list",
+        "top-level-array",
+        "infinite-coefficient",
+        "zero-denominator",
+        "fractional-field-order",
+        "boolean-field-order",
+    ],
 )
 def test_analyze_malformed_coeff_file_is_an_input_error(tmp_path, data):
     coeffs = tmp_path / "map.json"
@@ -283,6 +298,18 @@ def test_analyze_json_matches_golden_report(name, build):
     assert out.encode() == (DATA / f"analyze_{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, build",
+    [(name, build) for name, build in GOLDEN_MAPS if name not in ("silverman5", "dense6")],
+)
+def test_quotient_json_matches_golden_report(name, build):
+    # the four cyclic golden maps: psi, the case tag and the quotient map of
+    # `quotient --json`, byte for byte
+    code, out, err = run_cli("quotient", "--map", build().to_expr(), "--json")
+    assert code == 0, err
+    assert out.encode() == (DATA / f"quotient_{name}.json").read_bytes()
+
+
 @pytest.mark.parametrize("name, build", GOLDEN_MAPS)
 def test_report_orders_match_the_exact_power_loop(name, build):
     phi = build()
@@ -317,8 +344,8 @@ def test_analyze_powers_exact_elements_only_to_certify_the_generator(
 
 @pytest.mark.parametrize("name", ["sample_degree13", "cyclic_n12_r2"])
 def test_analyze_reads_numeric_orders_off_the_product_table(monkeypatch, name):
-    # no numeric matrix is raised to powers for the group structure; only
-    # certify_element works out the order that picks its lift fields
+    # no numeric matrix is raised to powers: the group structure and the
+    # lift fields of certify_element take their orders from the product table
     seen = set()
     original = ExtendedMoebius.order
 
@@ -330,7 +357,7 @@ def test_analyze_reads_numeric_orders_off_the_product_table(monkeypatch, name):
     monkeypatch.setattr(ExtendedMoebius, "order", recording)
     code, _, err = run_cli("analyze", "--map", dict(GOLDEN_MAPS)[name]().to_expr(), "--json")
     assert code == 0, err
-    assert seen == {"certify_element"}
+    assert seen == set()
 
 
 class _PairFrac:

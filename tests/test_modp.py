@@ -1,11 +1,12 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from pseudoreal import CycloNum, Poly, RationalMap, poly_gcd, silverman, squarefree_decomposition
-from pseudoreal import modp, polyring, ratmap
+from pseudoreal import modp, polyring
 from pseudoreal.cli import parse_map_expr
 from pseudoreal.cyclotomic import euler_phi
 
@@ -103,16 +104,21 @@ def _bad_prime_inputs():
 
 
 def _count_gcd_calls(monkeypatch):
-    calls = []
-    real_gcd = polyring.poly_gcd
+    """The frames of the exact remainder sequences that run from now on,
+    one per run.  Only the exact path strips rational content, so each
+    ``strip_rational_content`` call is counted against the frame of the
+    ``poly_gcd`` that made it; holding the frames keeps their ids apart."""
+    frames = []
+    real_strip = polyring.strip_rational_content
 
-    def counted(p, q):
-        calls.append((p.degree, q.degree))
-        return real_gcd(p, q)
+    def counted(p):
+        caller = sys._getframe(1)
+        if not any(f is caller for f in frames):
+            frames.append(caller)
+        return real_strip(p)
 
-    monkeypatch.setattr(polyring, "poly_gcd", counted)
-    monkeypatch.setattr(ratmap, "poly_gcd", counted)
-    return calls
+    monkeypatch.setattr(polyring, "strip_rational_content", counted)
+    return frames
 
 
 @pytest.mark.parametrize("bad", [BAD_DENOMINATOR, BAD_LEAD])
@@ -149,9 +155,12 @@ def test_dense_map_makes_no_exact_gcd_calls(monkeypatch):
 
 
 def test_silverman_wronskian_keeps_the_exact_path(monkeypatch):
-    d = 7
-    crit = silverman(d).critical_polynomial()
     calls = _count_gcd_calls(monkeypatch)
-    # the Wronskian of i((z-1)/(z+1))^d is 2 i d (z^2 - 1)^(d-1)
-    assert squarefree_decomposition(crit) == [(Poly([-1, 0, 1]), d - 1)]
-    assert calls
+    for d in (7, 25):
+        crit = silverman(d).critical_polynomial()
+        calls.clear()
+        # the Wronskian of i((z-1)/(z+1))^d is 2 i d (z^2 - 1)^(d-1): the
+        # exact gcd of f and f' finds (z^2 - 1)^(d-2), and every later gcd
+        # of Yun's loop is certified 1 modulo a prime
+        assert squarefree_decomposition(crit) == [(Poly([-1, 0, 1]), d - 1)]
+        assert len(calls) == 1, d

@@ -72,3 +72,14 @@ def test_every_private_definition_is_referenced_elsewhere():
             if total[node.name] - _references(node)[node.name] <= 0:
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
+
+
+def test_only_poly_gcd_reads_the_coprimality_certificate():
+    # ``poly_gcd`` answers 1 when ``coprime_mod_p`` certifies a pair, so a
+    # caller that asks the certificate itself keeps a second gcd path
+    readers = []
+    for path in SOURCES:
+        refs = _references(_parse(path))
+        if refs["coprime_mod_p"] and path.name not in ("modp.py", "polyring.py"):
+            readers.append(path.name)
+    assert readers == []
