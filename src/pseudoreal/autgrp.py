@@ -469,20 +469,6 @@ def _sort_elements(pairs: list[tuple[ExtendedMoebius, int]]):
     return sorted(pairs, key=key)
 
 
-def _lifted_like(
-    phi: RationalMap, g: ExtendedMoebius, k: int, e: ExtendedMoebius
-) -> ExtendedMoebius:
-    """The exact element e, lifted from the numeric g the way
-    ``certify_element`` lifts g, so that it prints the same; e scaled to
-    g's pivot when no candidate equals it."""
-    j, values = _pivot_scaled(g)
-    entries = (e.a, e.b, e.c, e.d)
-    pivot_inv = entries[j].inv()
-    target = tuple(x * pivot_inv for x in entries)
-    lifted = lift(values, _matrix_fields(phi, k), lambda cand: cand == target)
-    return ExtendedMoebius(*(lifted or target), antiholo=g.antiholo)
-
-
 def _certify_group(phi: RationalMap, elements: list[ExtendedMoebius], orders: list[int], table):
     """Exact elements for the numeric group ``elements`` with its orders and
     product table, from a certified generating set: ((exact element, order)
@@ -507,7 +493,12 @@ def _certify_group(phi: RationalMap, elements: list[ExtendedMoebius], orders: li
     for w in work:
         g, k = elements[w], orders[w]
         if w in closure:
-            exact.append((_lifted_like(phi, g, k, closure[w]), k))
+            # scaled to g's pivot, as certify_element scales a lifted element
+            j, _ = _pivot_scaled(g)
+            e = closure[w]
+            entries = (e.a, e.b, e.c, e.d)
+            pivot_inv = entries[j].inv()
+            exact.append((ExtendedMoebius(*(x * pivot_inv for x in entries), e.antiholo), k))
             continue
         cert = certify_element(phi, g, k)
         if cert is None:
@@ -594,9 +585,17 @@ class CanonicalCyclicForm:
         return self.psi.degree
 
     def canonical_map(self) -> RationalMap:
-        """z * psi(z^n) as a rational map."""
-        num = Poly.x(self.psi.field_order) * self.psi.numer.substitute_power(self.n)
+        """z * psi(z^n) as a rational map.
+
+        psi = P/Q is reduced, so P(z^n) and Q(z^n) are coprime, and z is
+        common to z P(z^n) and Q(z^n) only when Q(0) = 0 (case c): it
+        cancels by a shift of Q(z^n), as in ``_extract_power_form``."""
+        num = self.psi.numer.substitute_power(self.n)
         den = self.psi.denom.substitute_power(self.n)
+        if den.coeff(0).is_zero():
+            den = Poly(den.coeffs[1:], den.order)
+        else:
+            num = Poly.x(num.order) * num
         return RationalMap.reduce(num, den)
 
 
@@ -779,11 +778,8 @@ def _solve_argument_scale(psi_a: RationalMap, psi_b: RationalMap):
         return CycloNum.one(m)
     if g == 1:
         return val
-    # an exact g-th root of val; fields with zeta_8 come first, then by size,
-    # since the field that accepts t decides how it prints
-    fields = sorted(
-        {common_order(m, 4), common_order(m, 4 * g)}, key=lambda f: (f % 8 != 0, f)
-    )
+    # an exact g-th root of val
+    fields = (common_order(m, 4), common_order(m, 4 * g))
     base = val.to_complex() ** (1.0 / g)
     for ell in range(g):
         cand_num = base * complex(

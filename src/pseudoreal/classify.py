@@ -145,10 +145,8 @@ def _admissible_inversion_factors(psi: RationalMap):
     includes_one = all(e.evaluate(one).is_zero() for e in eqs)
     exact: list[CycloNum] = []
     unresolved: list[complex] = []
-    # g.order is a multiple of 4; the field with zeta_8 comes first, since
-    # the field that accepts beta decides how it prints
     m = g.order
-    fields = (common_order(m, 8), m, common_order(m, 12))
+    fields = (m, common_order(m, 8), common_order(m, 12))
 
     def is_root(beta: CycloNum) -> bool:
         return beta.is_unimodular() and g.evaluate(beta).is_zero()

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .autgrp import TOLERANCES, verify_automorphism_exact
 from .classify import Classification, classify_map
@@ -660,12 +661,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: a parse leaves no state in the parser
+    return build_parser()
+
+
 def main(argv=None, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     handlers = {

@@ -386,15 +386,18 @@ class CycloNum:
         return f"CycloNum({self.order}, {self.to_expr()!r})"
 
     def to_expr(self) -> str:
-        """Expression-grammar text; re-parses to the same value."""
+        """Expression-grammar text over the least field that holds the value
+        (see :func:`_least_field`), so equal values print alike whatever
+        field stores them; re-parses to the same value."""
+        x = _least_field(self)
         terms = []
-        for j, c in enumerate(self.coords):
+        for j, c in enumerate(x.coords):
             if c == 0:
                 continue
             if j == 0:
                 terms.append(_frac_text(c))
             else:
-                root = "i" if self.order == 4 and j == 1 else f"w({self.order},{j})"
+                root = "i" if x.order == 4 and j == 1 else f"w({x.order},{j})"
                 if c == 1:
                     terms.append(root)
                 elif c == -1:
@@ -411,6 +414,53 @@ class CycloNum:
 
 def _frac_text(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+# -- the least cyclotomic field of a value ------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _subfield_reader(m: int, k: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den): integer rows with (rows . num) / den the coordinates
+    over Q(zeta_k), k | m, of an element num of Q(zeta_m) that lies there.
+
+    zeta_k^j embeds as zeta_m^(j m/k), an injective integer matrix E, and
+    Gauss-Jordan on [E | 1] leaves a left inverse of E in its first rows.
+    On an element outside Q(zeta_k) the reading is some other value, so a
+    caller keeps it only when it embeds back to the element."""
+    n, r = euler_phi(m), euler_phi(k)
+    table = _power_table(m)
+    images = [table[j * (m // k)] for j in range(r)]
+    aug = [[Fraction(col[i]) for col in images] + [Fraction(int(i == c)) for c in range(n)]
+           for i in range(n)]
+    for col in range(r):
+        piv = next(i for i in range(col, n) if aug[i][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i in range(n):
+            f = aug[i][col]
+            if i != col and f:
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
+    left = [row[r:] for row in aug[:r]]
+    den = math.lcm(*(v.denominator for row in left for v in row))
+    return tuple(tuple(int(v * den) for v in row) for row in left), den
+
+
+def _least_field(x: CycloNum) -> CycloNum:
+    """x itself when it is rational; else x over Q(zeta_k) for the least
+    even k | m whose field holds it (fields of odd k repeat those of 2k);
+    else x itself.  Exact: a reading is kept only when it embeds back to
+    the same coordinates."""
+    m = x.order
+    if any(x.num[1:]):
+        for k in range(4, m, 2):
+            if m % k == 0:
+                rows, den = _subfield_reader(m, k)
+                y = _canonical(k, [sum(a * b for a, b in zip(row, x.num)) for row in rows],
+                               den * x.den)
+                if y.rebase(m) == x:
+                    return y
+    return x
 
 
 # -- integer polynomial helpers of the inverse ------------------------------
@@ -515,10 +565,8 @@ def lift(values, fields, check):
     a tuple they are combined entry by entry in product order, at most
     ``_MAX_COMBOS`` combinations per field.  ``check`` receives a CycloNum,
     or a tuple of them for a tuple, and decides acceptance exactly: the
-    recognizer only guesses.
-
-    The try order is part of the contract: the field in which a value is
-    found decides how it prints."""
+    recognizer only guesses.  The try order decides which field stores a
+    value found in several."""
     joint = isinstance(values, tuple)
     entries = values if joint else (values,)
     for m in dict.fromkeys(fields):

@@ -13,6 +13,7 @@ from pseudoreal import (
     aut_group_report,
     canonicalize_cyclic,
     classify_group_type,
+    classify_map,
     cyclic_pseudo_real_family,
     normalizer_action,
     silverman,
@@ -21,7 +22,7 @@ from pseudoreal import (
 )
 from pseudoreal import autgrp, polyring
 from pseudoreal.autgrp import certify_element, closure_defect
-from pseudoreal.moebius import named_generator, proj_sine
+from pseudoreal.moebius import named_generator, pivot_index, proj_sine
 from pseudoreal.cyclotomic import common_order, recognize_cyclo_candidates
 from pseudoreal.errors import NotAnAutomorphismError, OrderMismatchError
 from pseudoreal.families import sample_degree3_order4, sample_degree13
@@ -277,6 +278,34 @@ def test_canonicalize_case_b_and_c():
     assert form.case_tag == "c" and form.degree == 4 * form.r - 1
 
 
+def test_canonical_map_cancels_z_by_a_shift(monkeypatch):
+    # case c: Q(0) = 0, so z P(z^n) and Q(z^n) share z; a shift cancels it,
+    # and no remainder sequence strips content
+    form = classify_map(sample_degree3_order4()).form
+    assert form.case_tag == "c"
+    seen = []
+    strip = polyring.strip_rational_content
+    monkeypatch.setattr(polyring, "strip_rational_content", lambda p: seen.append(p) or strip(p))
+    canonical = form.canonical_map()
+    assert seen == []
+    monkeypatch.undo()
+    assert canonical == rotation_form_map(None, form.n, form.psi)
+    # the same map as reduce builds from z P(z^n) and Q(z^n), in every case
+    rng = random.Random(27)
+    zero = CycloNum.zero(4)
+    for n in (2, 3, 5):
+        for case, numer, denom in (
+            ("a", [gauss(rng), nonzero_gauss(rng)], [nonzero_gauss(rng), gauss(rng)]),
+            ("b", [nonzero_gauss(rng), nonzero_gauss(rng)], [zero, nonzero_gauss(rng)]),
+            ("c", [nonzero_gauss(rng), gauss(rng), zero], [zero, nonzero_gauss(rng), 1]),
+        ):
+            psi = RationalMap.reduce(Poly(numer), Poly(denom))
+            phi = rotation_form_map(rng, n, psi)
+            form = canonicalize_cyclic(phi, ExtendedMoebius.rotation(n, 1))
+            assert form.case_tag == case
+            assert form.canonical_map() == rotation_form_map(rng, n, form.psi) == phi
+
+
 def test_canonicalize_folds_inverted_orientation():
     rng = random.Random(9)
     # psi(0) finite, psi(inf) = 0: phi fixes both 0 and inf with value 0,
@@ -287,7 +316,9 @@ def test_canonicalize_folds_inverted_orientation():
     phi = rotation_form_map(rng, 3, psi)
     form = canonicalize_cyclic(phi, ExtendedMoebius.rotation(3, 1))
     assert form.case_tag == "b"
-    assert form.psi.to_expr() == "((-2+2*w(12,3))+(-1+w(12,3))*z)/(z)"
+    # psi is stored in Q(zeta_12), the conjugator's field, and prints over Q(i)
+    assert form.psi.field_order == 12
+    assert form.psi.to_expr() == "((-2+2*i)+(-1+i)*z)/(z)"
     conj = form.conjugator
     assert [e.to_expr() for e in (conj.a, conj.b, conj.c, conj.d)] == ["0", "1", "1", "0"]
     assert phi.conjugate_by(form.conjugator).equals_projective(form.canonical_map())
@@ -507,6 +538,22 @@ def test_fixed_points_fall_back_to_an_exact_square_root(monkeypatch):
     half, w = Fraction(1, 2), CycloNum.zeta(8, 1)
     expected = [(1 + 3 * w) * half, (1 - 3 * w) * half]
     assert [p, q] in (expected, expected[::-1])
+
+
+def test_closure_elements_are_scaled_at_the_numeric_pivot():
+    # conjugated by z -> z + 2, the symmetries of sample_degree3_order4 but
+    # the identity have their numeric pivot at b, after the nonzero a; the
+    # element the exact closure reaches is scaled there, as a lifted one is
+    shift = ExtendedMoebius(CycloNum.one(), CycloNum.from_rational(2), CycloNum.zero(),
+                            CycloNum.one())
+    rep = aut_group_report(sample_degree3_order4().conjugate_by(shift))
+    assert rep.certified
+    pivots = []
+    for g in rep.elements:
+        num = g.to_numeric()
+        pivots.append(pivot_index((num.a, num.b, num.c, num.d)))
+        assert (g.a, g.b, g.c, g.d)[pivots[-1]].is_one()
+    assert pivots == [0, 1, 1, 1]
 
 
 def test_pivot_holds_on_an_exact_tie():

@@ -12,6 +12,7 @@ from pseudoreal import (
     Poly,
     RationalMap,
     aut_group_report,
+    autgrp,
     classify,
     cli,
     cyclic_pseudo_real_family,
@@ -308,6 +309,51 @@ def test_quotient_json_matches_golden_report(name, build):
     code, out, err = run_cli("quotient", "--map", build().to_expr(), "--json")
     assert code == 0, err
     assert out.encode() == (DATA / f"quotient_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [(name, build) for name, build in GOLDEN_MAPS if name not in ("silverman5", "dense6")],
+)
+def test_reports_do_not_depend_on_the_lift_field_order(monkeypatch, name, build):
+    # a value prints over the least field that holds it, so the field a
+    # lift tries first changes no byte of a report
+    fields = autgrp._matrix_fields
+    monkeypatch.setattr(autgrp, "_matrix_fields", lambda phi, k: fields(phi, k)[::-1])
+    for command in ("analyze", "quotient"):
+        code, out, err = run_cli(command, "--map", build().to_expr(), "--json")
+        assert code == 0, err
+        assert out.encode() == (DATA / f"{command}_{name}.json").read_bytes()
+
+
+# a bad --antiholo value (argparse reports it on sys.stderr), then one
+# call of each other kind, twice over
+PARSER_SEQUENCE = 2 * [
+    ("verify", "--map", "z^3", "--auto", "[[0,1],[1,0]]", "--antiholo", "maybe"),
+    ("analyze", "--map", "i*((z-1)/(z+1))^3", "--json"),
+    ("verify", "--map", "z^3", "--auto", "[[0,1],[1,0]]", "--antiholo", "true"),
+    ("moduli", "--degree", "5", "--json"),
+]
+
+
+def test_one_parser_serves_a_sequence_of_calls(monkeypatch, capsys):
+    def run(argv):
+        code, out, err = run_cli(*argv)
+        captured = capsys.readouterr()
+        return code, out, err, captured.out, captured.err
+
+    alone = []
+    for argv in PARSER_SEQUENCE:
+        cli._parser.cache_clear()  # the state of a new process
+        alone.append(run(argv))
+    assert [r[0] for r in alone] == 2 * [2, 0, 0, 0]
+    assert "--antiholo" in alone[0][4]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in PARSER_SEQUENCE] == alone
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("name, build", GOLDEN_MAPS)

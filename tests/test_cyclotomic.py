@@ -1,10 +1,13 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from pseudoreal import CycloNum
+from pseudoreal.cli import parse_constant
 from pseudoreal.cyclotomic import cyclotomic_polynomial, euler_phi, fold_power_relations, lift
 from pseudoreal.errors import NotASubfieldError
 
@@ -178,9 +181,10 @@ def test_lift_result_passes_the_check():
 
 def test_lift_first_field_in_order_wins():
     i = CycloNum.i()
+    # the try order decides which field stores the value, not how it prints
     got = lift(1j, [8, 4], lambda v: v == i)
     assert got.order == 8 and got == i
-    assert got.to_expr() == "w(8,2)"
+    assert got.to_expr() == "i"
     got = lift(1j, [4, 8], lambda v: v == i)
     assert got.order == 4 and got.coords == CycloNum.i().coords
     assert got.to_expr() == "i"
@@ -285,6 +289,36 @@ def _ref_expr(m, a):
                    for k, t in enumerate(terms)) or "0"
 
 
+# -- oracle: the least cyclotomic field, by a sympy rational solve ------------
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_embedding(m, k):
+    """The matrix of zeta_k -> zeta_m^(m/k) over the power bases, with the
+    images reduced by sympy's cyclotomic polynomial."""
+    x = sympy.symbols("x")
+    phi_m = sympy.Poly(sympy.cyclotomic_poly(m, x), x)
+    cols = []
+    for j in range(int(sympy.totient(k))):
+        rem = sympy.Poly(x ** (j * (m // k)), x).rem(phi_m).all_coeffs()[::-1]
+        cols.append(rem + [0] * (phi_m.degree() - len(rem)))
+    return sympy.Matrix(cols).T
+
+
+def _ref_least_field(m, a):
+    """(k, coordinates over Q(zeta_k)) of the least field that to_expr
+    prints a in: Q as k = 1 when a is rational, else the least even k < m,
+    k | m, whose embedding has a rational solution, else (m, a)."""
+    if all(c == 0 for c in a[1:]):
+        return 1, (a[0],)
+    rhs = sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in a])
+    for k in range(4, m, 2):
+        if m % k == 0:
+            for sol in sympy.linsolve((_ref_embedding(m, k), rhs)):
+                return k, tuple(Fraction(int(v.p), int(v.q)) for v in sol)
+    return m, tuple(a)
+
+
 def _random_coords(rng, m):
     big = rng.random() < 0.2
     out = []
@@ -334,13 +368,26 @@ def test_integer_arithmetic_matches_fraction_oracle(m):
         for k in (2, 3):
             big = m * k
             assert _agrees(x.rebase(big), big, _ref_image(m, a, big, k))
-        assert x.to_expr() == _ref_expr(m, a)
+        assert x.to_expr() == _ref_expr(*_ref_least_field(m, a))
         got, want = x.to_complex(), _ref_complex(m, a)
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
     assert _agrees(CycloNum.zero(m), m, (Fraction(0),) * euler_phi(m))
     assert _agrees(CycloNum(m, [Fraction(0)] * euler_phi(m)), m, (Fraction(0),) * euler_phi(m))
     x = CycloNum(m, _random_coords(rng, m))
     assert _agrees(x - x, m, (Fraction(0),) * euler_phi(m))
+
+
+@pytest.mark.parametrize("m", (8, 12, 16, 20, 24))
+def test_to_expr_prints_over_the_least_field(m):
+    rng = random.Random(7100 + m)
+    for k in [d for d in range(1, m + 1) if m % d == 0]:
+        for _ in range(4):
+            x = CycloNum(k, _random_coords(rng, k)).rebase(m)
+            least, coords = _ref_least_field(m, x.coords)
+            # Q(zeta_k) holds x, and Q(zeta_2k) is the same field for odd k
+            assert (2 * k) % least == 0
+            assert x.to_expr() == _ref_expr(least, coords)
+            assert parse_constant(x.to_expr()) == x
 
 
 def test_mixed_field_equality_matches_fraction_oracle():

@@ -15,7 +15,8 @@ DELETED = {
     "pseudoreal.polyring": ("_polish", "divides_exactly"),
     "pseudoreal.sphere": ("chordal",),
     "pseudoreal.autgrp": (
-        "_arg_scaled", "_form_value", "_near", "_projective_residual", "_proportional",
+        "_arg_scaled", "_form_value", "_lifted_like", "_near", "_projective_residual",
+        "_proportional",
     ),
     "pseudoreal.cli": ("_split_top_level",),
     "pseudoreal.families": ("_support_in_residue_class",),
